@@ -90,11 +90,21 @@ pub struct ControlModel {
     pub controllers: Vec<ControllerRef>,
     delays: ModelDelays,
     has_environment: bool,
+    /// The weakly connected components of `graph` (see
+    /// [`ControlModel::components`]), computed once at build time.
+    components: Vec<Vec<TransitionId>>,
+    /// The induced sub-graph of every component, computed once at build
+    /// time for the cycle-time, liveness, safety and lint analyses. Left
+    /// empty when `graph` is a single component: it is then its own (and
+    /// only) component graph, so no copy is kept.
+    component_graphs: Vec<MarkedGraph>,
     /// Steady-state cycle time (maximum cycle ratio over all components),
-    /// computed once at build time. The maximum-cycle-ratio search runs a
-    /// bisection of Bellman-Ford passes, so recomputing it on every
-    /// `cycle_time_ps()` call (reports, schedule horizons, sweep rows) was a
-    /// measurable share of the verification hot path.
+    /// computed once at build time by [`desync_mg::timing::cycle_time`]:
+    /// Howard policy iteration gives the exact ratio, a replay of the
+    /// reference bisection with it (confirmed by two positive-cycle tests)
+    /// gives the reported value bit for bit, and the plain bisection runs
+    /// when that path does not apply. Reports, schedule horizons and sweep
+    /// rows read this cached value.
     steady_cycle_time_ps: f64,
     /// Reference transition of the slowest component, cached for
     /// [`ControlModel::simulate`].
@@ -301,11 +311,22 @@ impl ControlModel {
             }
         }
 
+        let components = weakly_connected_components(&graph);
+        let component_graphs = if components.len() == 1 {
+            Vec::new()
+        } else {
+            components
+                .iter()
+                .map(|c| induced_subgraph(&graph, c))
+                .collect()
+        };
         let mut model = Self {
             graph,
             controllers,
             delays,
             has_environment,
+            components,
+            component_graphs,
             steady_cycle_time_ps: 0.0,
             reference: None,
         };
@@ -314,15 +335,29 @@ impl ControlModel {
         // component supplies the simulation reference transition (ties go to
         // the later component, matching the previous `max_by` behaviour).
         let mut slowest = f64::NEG_INFINITY;
-        for component in model.components() {
-            let cycle = model.component_graph(&component).cycle_time();
-            model.steady_cycle_time_ps = model.steady_cycle_time_ps.max(cycle);
+        let mut steady = 0.0_f64;
+        let mut reference = None;
+        for (component, graph) in model.components.iter().zip(model.component_graphs()) {
+            let cycle = graph.cycle_time();
+            steady = steady.max(cycle);
             if cycle >= slowest {
                 slowest = cycle;
-                model.reference = component.first().copied();
+                reference = component.first().copied();
             }
         }
+        model.steady_cycle_time_ps = steady;
+        model.reference = reference;
         model
+    }
+
+    /// The induced sub-graph of every weakly connected component, in
+    /// component order (cached at build time).
+    fn component_graphs(&self) -> &[MarkedGraph] {
+        if self.components.len() == 1 {
+            std::slice::from_ref(&self.graph)
+        } else {
+            &self.component_graphs
+        }
     }
 
     /// The composed marked graph (read-only: the cycle-time analysis is
@@ -371,60 +406,22 @@ impl ControlModel {
     /// counter with no data-flow connection to the rest of the design) form
     /// their own components and are analyzed separately.
     pub fn components(&self) -> Vec<Vec<TransitionId>> {
-        let n = self.graph.num_transitions();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-            if parent[x] != x {
-                let root = find(parent, parent[x]);
-                parent[x] = root;
-            }
-            parent[x]
-        }
-        for (_, p) in self.graph.places() {
-            let a = find(&mut parent, p.from.index());
-            let b = find(&mut parent, p.to.index());
-            if a != b {
-                parent[a] = b;
-            }
-        }
-        let mut groups: HashMap<usize, Vec<TransitionId>> = HashMap::new();
-        for t in 0..n {
-            let root = find(&mut parent, t);
-            groups.entry(root).or_default().push(TransitionId(t as u32));
-        }
-        let mut components: Vec<Vec<TransitionId>> = groups.into_values().collect();
-        components.sort_by_key(|c| c.iter().map(|t| t.index()).min().unwrap_or(0));
-        components
+        self.components.clone()
     }
 
     /// Extracts the sub-marked-graph induced by a set of transitions.
     pub fn component_graph(&self, transitions: &[TransitionId]) -> MarkedGraph {
-        let mut sub = MarkedGraph::new();
-        let mut map: HashMap<TransitionId, TransitionId> = HashMap::new();
-        for &t in transitions {
-            let new = sub.add_transition(self.graph.transition(t).label.clone());
-            map.insert(t, new);
-        }
-        for (_, p) in self.graph.places() {
-            if let (Some(&f), Some(&t)) = (map.get(&p.from), map.get(&p.to)) {
-                sub.add_place(f, t, p.initial_tokens, p.delay);
-            }
-        }
-        sub
+        induced_subgraph(&self.graph, transitions)
     }
 
     /// Whether every component of the control model is live.
     pub fn is_live(&self) -> bool {
-        self.components()
-            .iter()
-            .all(|c| self.component_graph(c).is_live())
+        self.component_graphs().iter().all(MarkedGraph::is_live)
     }
 
     /// Whether every component of the control model is safe.
     pub fn is_safe(&self) -> bool {
-        self.components()
-            .iter()
-            .all(|c| self.component_graph(c).is_safe())
+        self.component_graphs().iter().all(MarkedGraph::is_safe)
     }
 
     /// Witness-producing proof of the model's structural correctness: runs
@@ -437,10 +434,8 @@ impl ControlModel {
     /// labels), which the bare booleans cannot.
     pub fn lint(&self) -> desync_lint::LintReport {
         let mut report = desync_lint::LintReport::new();
-        for component in self.components() {
-            report.merge(desync_lint::lint_marked_graph(
-                &self.component_graph(&component),
-            ));
+        for graph in self.component_graphs() {
+            report.merge(desync_lint::lint_marked_graph(graph));
         }
         report
     }
@@ -459,6 +454,51 @@ impl ControlModel {
     pub fn simulate(&self, iterations: usize) -> TimedTrace {
         simulate_timed(&self.graph, iterations, self.reference)
     }
+}
+
+/// The weakly connected components of `graph`, each a transition set in
+/// ascending order, ordered by their minimum transition.
+fn weakly_connected_components(graph: &MarkedGraph) -> Vec<Vec<TransitionId>> {
+    let n = graph.num_transitions();
+    let mut parent: Vec<usize> = (0..n).collect();
+    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
+        if parent[x] != x {
+            let root = find(parent, parent[x]);
+            parent[x] = root;
+        }
+        parent[x]
+    }
+    for (_, p) in graph.places() {
+        let a = find(&mut parent, p.from.index());
+        let b = find(&mut parent, p.to.index());
+        if a != b {
+            parent[a] = b;
+        }
+    }
+    let mut groups: HashMap<usize, Vec<TransitionId>> = HashMap::new();
+    for t in 0..n {
+        let root = find(&mut parent, t);
+        groups.entry(root).or_default().push(TransitionId(t as u32));
+    }
+    let mut components: Vec<Vec<TransitionId>> = groups.into_values().collect();
+    components.sort_by_key(|c| c.iter().map(|t| t.index()).min().unwrap_or(0));
+    components
+}
+
+/// The sub-marked-graph of `graph` induced by a set of transitions.
+fn induced_subgraph(graph: &MarkedGraph, transitions: &[TransitionId]) -> MarkedGraph {
+    let mut sub = MarkedGraph::new();
+    let mut map: HashMap<TransitionId, TransitionId> = HashMap::new();
+    for &t in transitions {
+        let new = sub.add_transition(graph.transition(t).label.clone());
+        map.insert(t, new);
+    }
+    for (_, p) in graph.places() {
+        if let (Some(&f), Some(&t)) = (map.get(&p.from), map.get(&p.to)) {
+            sub.add_place(f, t, p.initial_tokens, p.delay);
+        }
+    }
+    sub
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 //! desynchronized datapath — the master latch plays exactly the role of the
 //! flip-flop's input edge.
 
+use crate::conversion::LatchPair;
 use crate::flow::DesyncDesign;
 use desync_mg::{FlowEquivalence, FlowTrace};
 use desync_netlist::{CellLibrary, Netlist};
@@ -517,17 +518,26 @@ pub fn verify_flow_equivalence_packed_with_parts(
     let duration = bundle.horizon_ps + design.cycle_time_ps() + 1_000.0;
     let async_run = async_tb.run(duration, cycles, &bundle.schedule, &inputs);
 
+    let async_word_events = async_run.word_committed_events;
+    let async_lane_events = async_run.lane_committed_events();
     let mut lane_equivalence = Vec::with_capacity(stimulus.lanes());
     let mut compared_cycles = Vec::with_capacity(stimulus.lanes());
-    for lane in 0..stimulus.lanes() {
-        let sync_lane = &sync_run.lane_runs[lane];
-        let async_lane = &async_run.lane_runs[lane];
-        let mut mapped = FlowTrace::new();
-        for pair in &design.latch_design().pairs {
-            if let Some(stream) = async_lane.flow_trace.stream(&pair.master) {
-                mapped.extend_stream(pair.register_name.clone(), stream.to_vec());
-            }
-        }
+    // The async run is owned here: each lane's master streams move into the
+    // register-keyed trace instead of being copied, in register-name order
+    // so the trace is bulk-built from sorted keys.
+    let mut pairs: Vec<&LatchPair> = design.latch_design().pairs.iter().collect();
+    pairs.sort_by(|a, b| a.register_name.cmp(&b.register_name));
+    for (sync_lane, async_lane) in sync_run.lane_runs.iter().zip(async_run.lane_runs) {
+        let mut streams = async_lane.flow_trace;
+        let mapped: FlowTrace = pairs
+            .iter()
+            .filter_map(|pair| {
+                Some((
+                    pair.register_name.clone(),
+                    streams.take_stream(&pair.master)?,
+                ))
+            })
+            .collect();
         let limit = cycles
             .min(mapped.min_stream_len())
             .min(sync_lane.flow_trace.min_stream_len());
@@ -544,8 +554,8 @@ pub fn verify_flow_equivalence_packed_with_parts(
         compared_cycles,
         sync_word_events: sync_run.word_committed_events,
         sync_lane_events: sync_run.lane_committed_events(),
-        async_word_events: async_run.word_committed_events,
-        async_lane_events: async_run.lane_committed_events(),
+        async_word_events,
+        async_lane_events,
     })
 }
 

@@ -9,7 +9,8 @@
 //! * **Safeness** — a live marked graph is safe (1-bounded) iff every place
 //!   belongs to a directed cycle whose total token count is exactly one.
 
-use crate::graph::{MarkedGraph, Marking, PlaceId, TransitionId};
+use crate::csr::PlaceCsr;
+use crate::graph::{MarkedGraph, Marking, Place, PlaceId, TransitionId};
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
 /// A directed cycle of a marked graph, reported as the places traversed in
@@ -132,41 +133,39 @@ pub fn token_free_cycle(graph: &MarkedGraph) -> Option<CycleWitness> {
 /// token-free (the boolean projection of [`token_free_cycle`], which names
 /// the offending cycle).
 pub fn is_live(graph: &MarkedGraph) -> bool {
-    // Build adjacency over token-free places only.
-    let n = graph.num_transitions();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (_, p) in graph.places() {
-        if p.initial_tokens == 0 {
-            adj[p.from.index()].push(p.to.index());
-        }
-    }
-    !has_cycle(&adj)
+    !has_token_free_cycle(graph, &PlaceCsr::outputs(graph))
 }
 
-fn has_cycle(adj: &[Vec<usize>]) -> bool {
-    let n = adj.len();
+/// Iterative three-colour DFS over the token-free output places.
+pub(crate) fn has_token_free_cycle(graph: &MarkedGraph, outputs: &PlaceCsr) -> bool {
+    let n = graph.num_transitions();
     let mut color = vec![0u8; n]; // 0 white, 1 grey, 2 black
+    let mut stack: Vec<(usize, usize)> = Vec::new();
     for start in 0..n {
         if color[start] != 0 {
             continue;
         }
-        let mut stack = vec![(start, 0usize)];
         color[start] = 1;
+        stack.push((start, 0));
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if *next < adj[node].len() {
-                let succ = adj[node][*next];
-                *next += 1;
-                match color[succ] {
-                    0 => {
-                        color[succ] = 1;
-                        stack.push((succ, 0));
-                    }
-                    1 => return true,
-                    _ => {}
-                }
-            } else {
+            let Some(&place) = outputs.of(node).get(*next) else {
                 color[node] = 2;
                 stack.pop();
+                continue;
+            };
+            *next += 1;
+            let p = graph.place(PlaceId(place));
+            if p.initial_tokens != 0 {
+                continue;
+            }
+            let succ = p.to.index();
+            match color[succ] {
+                0 => {
+                    color[succ] = 1;
+                    stack.push((succ, 0));
+                }
+                1 => return true,
+                _ => {}
             }
         }
     }
@@ -176,17 +175,34 @@ fn has_cycle(adj: &[Vec<usize>]) -> bool {
 /// Whether the underlying directed graph (transitions as nodes, places as
 /// edges) is strongly connected.
 pub fn is_strongly_connected(graph: &MarkedGraph) -> bool {
-    let n = graph.num_transitions();
-    if n == 0 {
-        return true;
+    strongly_connected(graph, &PlaceCsr::outputs(graph), &PlaceCsr::inputs(graph))
+}
+
+/// [`is_strongly_connected`] over prebuilt output and input CSRs: every
+/// transition is reachable from transition 0 forwards and backwards.
+fn strongly_connected(graph: &MarkedGraph, outputs: &PlaceCsr, inputs: &PlaceCsr) -> bool {
+    graph.num_transitions() == 0
+        || (reaches_all(graph, outputs, |p| p.to) && reaches_all(graph, inputs, |p| p.from))
+}
+
+/// Whether a search from transition 0 along the places of `csr`, stepping
+/// to `next(place)`, reaches every transition.
+fn reaches_all(graph: &MarkedGraph, csr: &PlaceCsr, next: impl Fn(&Place) -> TransitionId) -> bool {
+    let mut seen = vec![false; graph.num_transitions()];
+    let mut stack = vec![0];
+    seen[0] = true;
+    let mut count = 1;
+    while let Some(node) = stack.pop() {
+        for &place in csr.of(node) {
+            let succ = next(graph.place(PlaceId(place))).index();
+            if !seen[succ] {
+                seen[succ] = true;
+                count += 1;
+                stack.push(succ);
+            }
+        }
     }
-    let mut fwd: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut bwd: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (_, p) in graph.places() {
-        fwd[p.from.index()].push(p.to.index());
-        bwd[p.to.index()].push(p.from.index());
-    }
-    reachable_count(&fwd, 0) == n && reachable_count(&bwd, 0) == n
+    count == seen.len()
 }
 
 /// The strongly connected components of the underlying directed graph
@@ -306,11 +322,13 @@ pub fn multi_token_cycle(graph: &MarkedGraph) -> Option<CycleWitness> {
 /// parent edge (predecessor transition and the place traversed).
 type TokenPathTree = (Vec<Option<u32>>, Vec<Option<(usize, PlaceId)>>);
 
-/// [`token_shortest_paths`] plus the parent edge (predecessor transition
-/// and the place traversed) of every reached transition, for witness
-/// reconstruction. Ties break deterministically: the heap orders by
-/// (distance, transition id) and parents update only on strict improvement,
-/// with places relaxed in id order.
+/// Shortest token-count distance from `start` to every transition
+/// (Dijkstra over places weighted by their initial token count), plus the
+/// parent edge (predecessor transition and the place traversed) of every
+/// reached transition, for witness reconstruction. Ties break
+/// deterministically: the heap orders by (distance, transition id) and
+/// parents update only on strict improvement, with places relaxed in id
+/// order.
 fn token_shortest_paths_with_parents(graph: &MarkedGraph, start: TransitionId) -> TokenPathTree {
     let n = graph.num_transitions();
     let mut adj: Vec<Vec<(usize, u32, PlaceId)>> = vec![Vec::new(); n];
@@ -338,24 +356,6 @@ fn token_shortest_paths_with_parents(graph: &MarkedGraph, start: TransitionId) -
     (dist, parent)
 }
 
-fn reachable_count(adj: &[Vec<usize>], start: usize) -> usize {
-    let mut seen = vec![false; adj.len()];
-    let mut queue = VecDeque::new();
-    seen[start] = true;
-    queue.push_back(start);
-    let mut count = 1;
-    while let Some(node) = queue.pop_front() {
-        for &succ in &adj[node] {
-            if !seen[succ] {
-                seen[succ] = true;
-                count += 1;
-                queue.push_back(succ);
-            }
-        }
-    }
-    count
-}
-
 /// The minimum number of tokens on any directed cycle through place `p`,
 /// or `None` if `p` lies on no cycle.
 ///
@@ -363,42 +363,16 @@ fn reachable_count(adj: &[Vec<usize>], start: usize) -> usize {
 /// `p.from`, plus the tokens of `p` itself.
 pub fn min_tokens_on_cycle_through(graph: &MarkedGraph, p: PlaceId) -> Option<u32> {
     let place = graph.place(p);
-    let dist = token_shortest_paths(graph, place.to);
+    let (dist, _) = token_shortest_paths_with_parents(graph, place.to);
     dist[place.from.index()].map(|d| d + place.initial_tokens)
-}
-
-/// Shortest token-count distance from `start` to every transition
-/// (Dijkstra over places weighted by their initial token count).
-fn token_shortest_paths(graph: &MarkedGraph, start: TransitionId) -> Vec<Option<u32>> {
-    let n = graph.num_transitions();
-    let mut adj: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    for (_, p) in graph.places() {
-        adj[p.from.index()].push((p.to.index(), p.initial_tokens));
-    }
-    let mut dist: Vec<Option<u32>> = vec![None; n];
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u32, usize)>> = BinaryHeap::new();
-    dist[start.index()] = Some(0);
-    heap.push(std::cmp::Reverse((0, start.index())));
-    while let Some(std::cmp::Reverse((d, node))) = heap.pop() {
-        if dist[node] != Some(d) {
-            continue;
-        }
-        for &(succ, w) in &adj[node] {
-            let nd = d + w;
-            if dist[succ].is_none_or(|old| nd < old) {
-                dist[succ] = Some(nd);
-                heap.push(std::cmp::Reverse((nd, succ)));
-            }
-        }
-    }
-    dist
 }
 
 /// Whether the marked graph is safe (no reachable marking puts more than one
 /// token in any place).
 ///
 /// For live, strongly connected graphs this uses the structural
-/// characterization (every place lies on a cycle with exactly one token).
+/// characterization (every place lies on a cycle with exactly one token),
+/// decided by one 0-1 BFS per transition, cut off past token distance 1.
 /// For other graphs it falls back to an explicit reachability exploration
 /// bounded by [`DEFAULT_EXPLORATION_LIMIT`] markings; graphs that exceed the
 /// bound are conservatively reported unsafe.
@@ -406,30 +380,82 @@ pub fn is_safe(graph: &MarkedGraph) -> bool {
     if graph.num_places() == 0 {
         return true;
     }
-    if is_live(graph) && is_strongly_connected(graph) {
-        // One token-shortest-path tree per distinct place target, shared by
-        // every place entering the same transition (instead of one Dijkstra
-        // per place — places outnumber transitions several times over in
-        // composed controller networks).
-        let mut trees: HashMap<usize, Vec<Option<u32>>> = HashMap::new();
-        graph.places().all(|(_, p)| {
-            if p.initial_tokens > 1 {
-                return false;
-            }
-            let dist = trees
-                .entry(p.to.index())
-                .or_insert_with(|| token_shortest_paths(graph, p.to));
-            match dist[p.from.index()] {
-                Some(d) => d + p.initial_tokens == 1,
-                None => false,
-            }
-        })
+    let outputs = PlaceCsr::outputs(graph);
+    let inputs = PlaceCsr::inputs(graph);
+    if !has_token_free_cycle(graph, &outputs) && strongly_connected(graph, &outputs, &inputs) {
+        every_place_on_one_token_cycle(graph, &outputs, &inputs)
     } else {
         matches!(
             max_bound_exhaustive(graph, DEFAULT_EXPLORATION_LIMIT),
             Some(b) if b <= 1
         )
     }
+}
+
+/// Whether every place `p` lies on a cycle whose minimum token count is
+/// exactly one: the token distance from `p.to` back to `p.from`, plus the
+/// tokens of `p`, equals 1.
+///
+/// A place with more than one token fails outright, so every remaining
+/// place weighs 0 or 1 and the token distances come from a 0-1 BFS: one per
+/// transition, answering every place that enters it. Only distances 0 and 1
+/// can pass the test, so the search never expands past distance 1, and the
+/// distance buffer is reset through the list of transitions it touched
+/// rather than reallocated per target.
+fn every_place_on_one_token_cycle(
+    graph: &MarkedGraph,
+    outputs: &PlaceCsr,
+    inputs: &PlaceCsr,
+) -> bool {
+    if graph.places().any(|(_, p)| p.initial_tokens > 1) {
+        return false;
+    }
+    const UNREACHED: u32 = u32::MAX;
+    let n = graph.num_transitions();
+    let mut dist = vec![UNREACHED; n];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut deque: VecDeque<usize> = VecDeque::new();
+    for target in 0..n {
+        let entering = inputs.of(target);
+        if entering.is_empty() {
+            continue;
+        }
+        dist[target] = 0;
+        touched.push(target);
+        deque.push_back(target);
+        while let Some(node) = deque.pop_front() {
+            let d = dist[node];
+            for &place in outputs.of(node) {
+                let p = graph.place(PlaceId(place));
+                let nd = d + p.initial_tokens;
+                let succ = p.to.index();
+                if nd > 1 || nd >= dist[succ] {
+                    continue;
+                }
+                if dist[succ] == UNREACHED {
+                    touched.push(succ);
+                }
+                dist[succ] = nd;
+                if nd == d {
+                    deque.push_front(succ);
+                } else {
+                    deque.push_back(succ);
+                }
+            }
+        }
+        let safe = entering.iter().all(|&place| {
+            let p = graph.place(PlaceId(place));
+            dist[p.from.index()].saturating_add(p.initial_tokens) == 1
+        });
+        if !safe {
+            return false;
+        }
+        for &t in &touched {
+            dist[t] = UNREACHED;
+        }
+        touched.clear();
+    }
+    true
 }
 
 /// Default cap on the number of distinct markings explored by the

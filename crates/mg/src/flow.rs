@@ -52,6 +52,13 @@ impl FlowTrace {
         self.streams.get(register).map(|v| v.as_slice())
     }
 
+    /// Removes and returns the stream recorded for `register`, if any, so a
+    /// caller re-keying streams into another trace can move them rather
+    /// than copy them.
+    pub fn take_stream(&mut self, register: &str) -> Option<Vec<u64>> {
+        self.streams.remove(register)
+    }
+
     /// Registers with at least one recorded value, sorted by name.
     pub fn registers(&self) -> Vec<&str> {
         self.streams.keys().map(|s| s.as_str()).collect()
@@ -156,8 +163,19 @@ impl FlowEquivalence {
         let mut mismatches = Vec::new();
         let mut missing = Vec::new();
         let mut compared = 0usize;
+        // Both traces are sorted by register name: walk them side by side
+        // instead of looking every register up in the other trace.
+        let mut checked_streams = checked.streams.iter().peekable();
         for (name, ref_stream) in &reference.streams {
-            let Some(chk_stream) = checked.streams.get(name) else {
+            while let Some((chk_name, chk_stream)) =
+                checked_streams.next_if(|(chk_name, _)| *chk_name < name)
+            {
+                if !chk_stream.is_empty() {
+                    missing.push(chk_name.clone());
+                }
+            }
+            let Some((_, chk_stream)) = checked_streams.next_if(|(chk_name, _)| *chk_name == name)
+            else {
                 if !ref_stream.is_empty() {
                     missing.push(name.clone());
                 }
@@ -177,9 +195,9 @@ impl FlowEquivalence {
                 }
             }
         }
-        for name in checked.streams.keys() {
-            if !reference.streams.contains_key(name) && !checked.streams[name].is_empty() {
-                missing.push(name.clone());
+        for (chk_name, chk_stream) in checked_streams {
+            if !chk_stream.is_empty() {
+                missing.push(chk_name.clone());
             }
         }
         missing.sort();
@@ -280,6 +298,17 @@ mod tests {
         // Symmetric case.
         let cmp2 = FlowEquivalence::compare(&b, &a);
         assert_eq!(cmp2.missing_registers, vec!["r1".to_string()]);
+        // Registers missing on both sides, interleaved by name; an empty
+        // stream is never missing.
+        let mut c = trace(&[("a", &[1]), ("c", &[3]), ("f", &[6])]);
+        c.extend_stream("e", Vec::new());
+        let mut d = trace(&[("b", &[2]), ("c", &[4]), ("g", &[7])]);
+        d.extend_stream("d", Vec::new());
+        let cmp3 = FlowEquivalence::compare(&c, &d);
+        assert_eq!(cmp3.missing_registers, ["a", "b", "f", "g"]);
+        assert_eq!(cmp3.mismatches.len(), 1);
+        assert_eq!(cmp3.mismatches[0].register, "c");
+        assert_eq!(cmp3.compared_values, 1);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   firing ([`graph`]).
 //! * Liveness, safeness, strong connectivity and reachability analyses
 //!   ([`analysis`]).
-//! * Timed analysis: cycle time via maximum cycle ratio and discrete-event
+//! * Timed analysis: cycle time via maximum cycle ratio (Howard policy
+//!   iteration, replayed through the reference bisection) and discrete-event
 //!   simulation of the timed token game ([`timing`]).
 //! * Composition of partial specifications by synchronizing on transition
 //!   labels — how the pairwise latch-to-latch patterns of Figure 4 are glued
@@ -43,6 +44,7 @@
 
 pub mod analysis;
 pub mod compose;
+mod csr;
 pub mod flow;
 pub mod graph;
 pub mod stg;

@@ -6,7 +6,9 @@
 //! the asynchronous equivalent of the clock period of the synchronous
 //! circuit (paper Table 1, "Cycle Time" row).
 
-use crate::graph::{MarkedGraph, TransitionId};
+use crate::analysis::has_token_free_cycle;
+use crate::csr::PlaceCsr;
+use crate::graph::{MarkedGraph, PlaceId, TransitionId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -16,19 +18,65 @@ use std::collections::VecDeque;
 /// Returns `0.0` for graphs without cycles (nothing constrains throughput)
 /// and `f64::INFINITY` for graphs with a token-free cycle (not live: some
 /// transition can never fire, so the period diverges).
+///
+/// The value is defined by the reference method, a bisection on λ whose
+/// predicate is a Bellman-Ford positive-cycle test under weights
+/// `delay - λ·tokens`: it is the upper end of the final bracket, within
+/// `1e-9` relative of the true ratio. About 40 such tests of up to one pass
+/// per transition each made that slow, so the result is reached another way:
+///
+/// 1. Howard policy iteration computes the maximum cycle ratio λ* directly,
+///    in a few near-linear rounds.
+/// 2. The bisection arithmetic is replayed with `mid < λ*` as the predicate.
+/// 3. Two positive-cycle tests confirm the final bracket: one at its lower
+///    end (a positive cycle must exist) and one at its upper end (none may).
+///    The test is monotone in λ, and every midpoint the replay decided lies
+///    at or beyond one end of that bracket, so the reference bisection
+///    would have decided each of them the same way. The result is its `hi`,
+///    bit for bit.
+///
+/// The reference bisection runs instead whenever that path does not apply:
+/// a transition without an output place, λ* ≤ 0, a policy iteration that
+/// does not settle, or a bracket the two tests do not confirm.
 pub fn cycle_time(graph: &MarkedGraph) -> f64 {
     if graph.num_places() == 0 || graph.num_transitions() == 0 {
         return 0.0;
     }
-    if !crate::analysis::is_live(graph) {
+    let outputs = PlaceCsr::outputs(graph);
+    if has_token_free_cycle(graph, &outputs) {
         return f64::INFINITY;
     }
-    // Binary search on lambda; lambda >= lambda* iff the graph with edge
-    // weights (delay - lambda * tokens) has no positive cycle.
+    replayed_cycle_time(graph, &outputs).unwrap_or_else(|| cycle_time_by_bisection(graph))
+}
+
+/// Steps 1–3 of [`cycle_time`] on a live graph: the exact ratio, the
+/// replayed bisection and the bracket check, or `None` when the fast path
+/// does not apply.
+fn replayed_cycle_time(graph: &MarkedGraph, outputs: &PlaceCsr) -> Option<f64> {
+    let ratio = max_cycle_ratio(graph, outputs).filter(|&r| r > 0.0 && r.is_finite())?;
+    let (lo, hi) = bisect(graph, |mid| mid < ratio)?;
+    (has_positive_cycle(graph, lo) && !has_positive_cycle(graph, hi)).then_some(hi)
+}
+
+/// The reference cycle-time method behind [`cycle_time`] for a live graph
+/// with places: bisection on λ, where `λ >= λ*` iff the graph with edge
+/// weights `delay - λ·tokens` has no positive cycle.
+fn cycle_time_by_bisection(graph: &MarkedGraph) -> f64 {
     if !has_positive_cycle(graph, 0.0) {
         // No cycle with positive total delay: throughput is unconstrained.
         return 0.0;
     }
+    match bisect(graph, |lambda| has_positive_cycle(graph, lambda)) {
+        Some((_, hi)) => hi,
+        None => f64::INFINITY,
+    }
+}
+
+/// The bisection on λ shared by both paths of [`cycle_time`]:
+/// `positive(λ)` answers whether some cycle has positive weight under
+/// `delay - λ·tokens`. Returns the final bracket `(lo, hi)`, or `None` when
+/// no upper bound holds after 128 doublings.
+fn bisect(graph: &MarkedGraph, mut positive: impl FnMut(f64) -> bool) -> Option<(f64, f64)> {
     // Upper bound: every cycle carries >= 1 token (the graph is live), and a
     // cycle's delay is at most the sum of all *positive* place delays — the
     // plain total would under-bound lambda* as soon as any place has a
@@ -38,19 +86,19 @@ pub fn cycle_time(graph: &MarkedGraph) -> f64 {
     let mut hi = positive_delay.max(1e-9);
     // Defense in depth: if rounding ever left lambda* above the analytic
     // bound, double until the bound holds instead of bisecting against an
-    // invalid bracket. Divergence here would mean the liveness check above
-    // lied, so give up loudly with infinity after a generous budget.
+    // invalid bracket. Divergence here would mean the liveness check lied,
+    // so the caller gives up loudly with infinity after a generous budget.
     let mut doublings = 0;
-    while has_positive_cycle(graph, hi) {
+    while positive(hi) {
         hi *= 2.0;
         doublings += 1;
         if doublings > 128 {
-            return f64::INFINITY;
+            return None;
         }
     }
     for _ in 0..100 {
         let mid = 0.5 * (lo + hi);
-        if has_positive_cycle(graph, mid) {
+        if positive(mid) {
             lo = mid;
         } else {
             hi = mid;
@@ -59,7 +107,138 @@ pub fn cycle_time(graph: &MarkedGraph) -> f64 {
             break;
         }
     }
-    hi
+    Some((lo, hi))
+}
+
+/// Policy-iteration rounds after which [`max_cycle_ratio`] gives up.
+const MAX_POLICY_ROUNDS: usize = 1_000;
+
+/// Slack below which [`max_cycle_ratio`] treats two ratios or potentials as
+/// equal, relative to their magnitude: a switch must beat rounding noise,
+/// or the iteration could flip between equivalent policies.
+fn slack(x: f64) -> f64 {
+    1e-12 * (1.0 + x.abs())
+}
+
+/// The maximum cycle ratio (delay over tokens) of a live marked graph, by
+/// Howard policy iteration over the output places.
+///
+/// A policy picks one output place per transition, so the policy graph is
+/// functional: each of its components drains into one cycle. A round
+/// evaluates the policy (every transition gets the ratio `eta` of the cycle
+/// it drains into, and a potential `value` relative to that cycle), then
+/// improves it: a transition first moves to an output place leading to a
+/// larger ratio, and only when none does anywhere, to one with a larger
+/// potential at the same ratio. With nothing left to improve, the largest
+/// `eta` is the maximum cycle ratio.
+///
+/// Returns `None` when a transition has no output place or the iteration
+/// does not settle within [`MAX_POLICY_ROUNDS`].
+fn max_cycle_ratio(graph: &MarkedGraph, outputs: &PlaceCsr) -> Option<f64> {
+    let n = graph.num_transitions();
+    let place = |id: u32| graph.place(PlaceId(id));
+    // Start from the slowest output place of every transition.
+    let mut policy = Vec::with_capacity(n);
+    for t in 0..n {
+        let slowest = outputs
+            .of(t)
+            .iter()
+            .copied()
+            .max_by(|&a, &b| place(a).delay.total_cmp(&place(b).delay))?;
+        policy.push(slowest);
+    }
+    let mut eta = vec![0.0_f64; n];
+    let mut value = vec![0.0_f64; n];
+    // The walk that first visited each transition this round (0: none yet).
+    let mut walk_of = vec![0usize; n];
+    let mut walk: Vec<usize> = Vec::new();
+    for _ in 0..MAX_POLICY_ROUNDS {
+        // Evaluate: follow the policy from every unvisited transition until
+        // the walk meets an evaluated transition or closes a new cycle.
+        walk_of.fill(0);
+        for start in 0..n {
+            if walk_of[start] != 0 {
+                continue;
+            }
+            walk.clear();
+            let mut t = start;
+            while walk_of[t] == 0 {
+                walk_of[t] = start + 1;
+                walk.push(t);
+                t = place(policy[t]).to.index();
+            }
+            let mut root = None;
+            if walk_of[t] == start + 1 {
+                // A new policy cycle, rooted at `t` with potential 0.
+                let pos = walk
+                    .iter()
+                    .position(|&u| u == t)
+                    .expect("the cycle root is on the walk");
+                let (delay, tokens) = walk[pos..].iter().fold((0.0, 0.0), |(d, k), &u| {
+                    let p = place(policy[u]);
+                    (d + p.delay, k + f64::from(p.initial_tokens))
+                });
+                if tokens <= 0.0 {
+                    return None; // a token-free cycle: the graph is not live
+                }
+                eta[t] = delay / tokens;
+                value[t] = 0.0;
+                root = Some(pos);
+            }
+            // Everything else on the walk takes its successor's ratio and
+            // its potential plus its own place, last-visited first.
+            for (i, &u) in walk.iter().enumerate().rev() {
+                if root == Some(i) {
+                    continue;
+                }
+                let p = place(policy[u]);
+                let succ = p.to.index();
+                eta[u] = eta[succ];
+                value[u] = p.delay - eta[u] * f64::from(p.initial_tokens) + value[succ];
+            }
+        }
+        // Improve the ratio first: move to a place leading to a larger one.
+        let mut improved = false;
+        for u in 0..n {
+            let mut best = policy[u];
+            let mut best_eta = eta[u];
+            for &id in outputs.of(u) {
+                let candidate = eta[place(id).to.index()];
+                if candidate > best_eta + slack(best_eta) {
+                    best = id;
+                    best_eta = candidate;
+                }
+            }
+            improved |= best != policy[u];
+            policy[u] = best;
+        }
+        if improved {
+            continue;
+        }
+        // Then the potential, among places leading to the same ratio.
+        for u in 0..n {
+            let mut best = policy[u];
+            let mut best_value = value[u];
+            for &id in outputs.of(u) {
+                let p = place(id);
+                let succ = p.to.index();
+                if (eta[succ] - eta[u]).abs() > slack(eta[u]) {
+                    continue;
+                }
+                let candidate = p.delay - eta[u] * f64::from(p.initial_tokens) + value[succ];
+                if candidate > best_value + slack(best_value) {
+                    best = id;
+                    best_value = candidate;
+                }
+            }
+            improved |= best != policy[u];
+            policy[u] = best;
+        }
+        if !improved {
+            return eta.iter().copied().reduce(f64::max);
+        }
+    }
+    None
 }
 
 /// Whether the graph with edge weights `delay - lambda * tokens` contains a
@@ -184,42 +363,30 @@ pub fn simulate_timed(
             queues[id.index()].push_back(0.0);
         }
     }
-    let presets: Vec<Vec<usize>> = graph
-        .transitions()
-        .map(|(t, _)| graph.preset(t).iter().map(|p| p.index()).collect())
-        .collect();
-    let postsets: Vec<Vec<usize>> = graph
-        .transitions()
-        .map(|(t, _)| graph.postset(t).iter().map(|p| p.index()).collect())
-        .collect();
-    // Place -> consuming transitions (exactly one in a well-formed marked
-    // graph, but composition is not trusted here).
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n_places];
-    for (t_idx, preset) in presets.iter().enumerate() {
-        for &p in preset {
-            consumers[p].push(t_idx);
-        }
-    }
+    // Presets and postsets, each grouped by one pass over the places. A
+    // place's only consumer is its `to` transition.
+    let presets = PlaceCsr::inputs(graph);
+    let postsets = PlaceCsr::outputs(graph);
 
     // The ready time of a transition under the current marking: the latest
     // front-token arrival over its preset, or `None` when a preset place is
     // empty. Source transitions (empty preset) would fire infinitely often
     // and are excluded.
     let ready = |queues: &[VecDeque<f64>], t_idx: usize| -> Option<f64> {
-        let preset = &presets[t_idx];
+        let preset = presets.of(t_idx);
         if preset.is_empty() {
             return None;
         }
         let mut ready = 0.0_f64;
         for &p in preset {
-            ready = ready.max(*queues[p].front()?);
+            ready = ready.max(*queues[p as usize].front()?);
         }
         Some(ready)
     };
 
     let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<Candidate>> =
         std::collections::BinaryHeap::new();
-    for t_idx in 0..presets.len() {
+    for t_idx in 0..graph.num_transitions() {
         if let Some(time) = ready(&queues, t_idx) {
             heap.push(std::cmp::Reverse(Candidate { time, t_idx }));
         }
@@ -248,29 +415,27 @@ pub fn simulate_timed(
         }
         let t_idx = candidate.t_idx;
         let t = TransitionId(t_idx as u32);
-        for &p in &presets[t_idx] {
-            queues[p].pop_front();
+        for &p in presets.of(t_idx) {
+            queues[p as usize].pop_front();
         }
-        for &p in &postsets[t_idx] {
-            let delay = graph.place(crate::graph::PlaceId(p as u32)).delay;
-            queues[p].push_back(time + delay);
+        for &p in postsets.of(t_idx) {
+            queues[p as usize].push_back(time + graph.place(PlaceId(p)).delay);
         }
         // Only the fired transition and the consumers of its output places
         // can have changed readiness.
         if let Some(next) = ready(&queues, t_idx) {
             heap.push(std::cmp::Reverse(Candidate { time: next, t_idx }));
         }
-        for &p in &postsets[t_idx] {
-            for &c in &consumers[p] {
-                if c == t_idx {
-                    continue; // already re-queued above
-                }
-                if let Some(next) = ready(&queues, c) {
-                    heap.push(std::cmp::Reverse(Candidate {
-                        time: next,
-                        t_idx: c,
-                    }));
-                }
+        for &p in postsets.of(t_idx) {
+            let c = graph.place(PlaceId(p)).to.index();
+            if c == t_idx {
+                continue; // already re-queued above
+            }
+            if let Some(next) = ready(&queues, c) {
+                heap.push(std::cmp::Reverse(Candidate {
+                    time: next,
+                    t_idx: c,
+                }));
             }
         }
         firings.push(Firing {
@@ -444,6 +609,55 @@ mod tests {
         assert!((estimate_period(&[0.0, 3.0, 13.0, 23.0]) - 10.0).abs() < 1e-12);
         // A transient-free sequence gives the same answer either way.
         assert!((estimate_period(&[0.0, 5.0, 10.0]) - 5.0).abs() < 1e-12);
+    }
+
+    /// Random live graphs: a ring with chords, 0–2 tokens per place and a
+    /// negative delay one time in six.
+    fn random_live_candidates() -> impl Iterator<Item = MarkedGraph> {
+        (0..5_000u64).map(|seed| {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let mut g = MarkedGraph::new();
+            let n = 1 + next(8) as usize;
+            let ids: Vec<_> = (0..n).map(|i| g.add_transition(format!("t{i}"))).collect();
+            for i in 0..n + next(2 * n as u64 + 1) as usize {
+                let (a, b) = if i < n {
+                    (ids[i], ids[(i + 1) % n])
+                } else {
+                    (ids[next(n as u64) as usize], ids[next(n as u64) as usize])
+                };
+                let tokens = [0, 0, 1, 1, 2][next(5) as usize];
+                let delay = next(10_000) as f64 / 37.0;
+                let delay = if next(6) == 0 { -0.3 * delay } else { delay };
+                g.add_place(a, b, tokens, delay);
+            }
+            g
+        })
+    }
+
+    #[test]
+    fn exact_path_matches_reference_bisection() {
+        let (mut live, mut fallbacks) = (0, 0);
+        for g in random_live_candidates() {
+            let outputs = PlaceCsr::outputs(&g);
+            if has_token_free_cycle(&g, &outputs) {
+                continue;
+            }
+            live += 1;
+            let reference = cycle_time_by_bisection(&g);
+            match replayed_cycle_time(&g, &outputs) {
+                Some(fast) => assert_eq!(fast.to_bits(), reference.to_bits()),
+                None => fallbacks += 1,
+            }
+        }
+        println!("exact path: {fallbacks} of {live} live graphs fell back to the bisection");
+        assert!(live > 1_000, "only {live} live graphs");
+        assert!(fallbacks * 10 < live, "{fallbacks} of {live} fell back");
     }
 
     #[test]

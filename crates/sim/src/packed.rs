@@ -49,10 +49,11 @@
 
 use crate::activity::Activity;
 use crate::engine::{CalendarQueue, Capture, Event, SimConfig};
-use crate::harness::{collect_flow_trace, EnableSchedule, SimRun};
+use crate::harness::{value_to_word, EnableSchedule, SimRun};
 use crate::model::CompiledModel;
 use crate::stimulus::PackedVectorSource;
 use crate::waveform::{Waveform, WaveformSet};
+use desync_mg::FlowTrace;
 use desync_netlist::{CellId, CellKind, CellLibrary, NetId, Netlist, NetlistError, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -716,8 +717,14 @@ impl<'a> PackedSimulator<'a> {
     /// Extracts lane `lane` as a full scalar [`SimRun`] with `cycles`
     /// recorded as the logical cycle count.
     pub fn lane_run(&self, lane: usize, cycles: usize) -> SimRun {
+        self.lane_run_grouped(lane, cycles, &CaptureGroups::new(self))
+    }
+
+    /// [`PackedSimulator::lane_run`] over captures already grouped per cell,
+    /// so extracting every lane groups them (and resolves names) once.
+    fn lane_run_grouped(&self, lane: usize, cycles: usize, groups: &CaptureGroups) -> SimRun {
         SimRun {
-            flow_trace: collect_flow_trace(self.netlist, &self.lane_captures(lane)),
+            flow_trace: groups.lane_trace(lane),
             activity: self.lane_activity(lane),
             waveforms: self.lane_waveforms(lane),
             cycles,
@@ -758,10 +765,72 @@ impl PackedSimRun {
     }
 }
 
+/// A packed run's captures grouped by capturing cell (chronological within
+/// a cell), with each cell's name resolved once for all lanes and the groups
+/// sorted by name. A lane's flow trace is then one pass per register over
+/// contiguous (lane mask, value) pairs into an exactly sized stream,
+/// bulk-built from sorted keys, and equal to the scalar harness's per-cell
+/// grouping of that lane's [`PackedSimulator::lane_captures`].
+struct CaptureGroups {
+    /// Each capture's lane mask and value, grouped by cell.
+    captures: Vec<(u64, PackedValue)>,
+    /// Per capturing cell: its name and its range in `captures`, sorted by
+    /// name, then cell id.
+    cells: Vec<(String, std::ops::Range<usize>)>,
+}
+
+impl CaptureGroups {
+    fn new(sim: &PackedSimulator<'_>) -> Self {
+        let mut order: Vec<&PackedCapture> = sim.captures.iter().collect();
+        // Stable: chronological order survives within each cell.
+        order.sort_by_key(|cap| cap.cell);
+        let mut cells = Vec::new();
+        let mut start = 0;
+        while start < order.len() {
+            let cell = order[start].cell;
+            let end = start
+                + order[start..]
+                    .iter()
+                    .take_while(|cap| cap.cell == cell)
+                    .count();
+            cells.push((sim.netlist.cell(cell).name.as_str().to_owned(), start..end));
+            start = end;
+        }
+        // Stable: cells sharing a name stay in id order, the order in which
+        // the scalar grouping appends their streams.
+        cells.sort_by(|a, b| a.0.cmp(&b.0));
+        let captures = order.iter().map(|cap| (cap.lanes, cap.value)).collect();
+        Self { captures, cells }
+    }
+
+    fn lane_trace(&self, lane: usize) -> FlowTrace {
+        let bit = 1u64 << lane;
+        let mut streams: Vec<(String, Vec<u64>)> = Vec::with_capacity(self.cells.len());
+        for (name, range) in &self.cells {
+            let mut values = Vec::with_capacity(range.len());
+            values.extend(
+                self.captures[range.clone()]
+                    .iter()
+                    .filter(|(lanes, _)| lanes & bit != 0)
+                    .map(|(_, value)| value_to_word(value.lane(lane))),
+            );
+            if values.is_empty() {
+                continue;
+            }
+            match streams.last_mut() {
+                Some((last, stream)) if last == name => stream.extend(values),
+                _ => streams.push((name.clone(), values)),
+            }
+        }
+        streams.into_iter().collect()
+    }
+}
+
 fn collect_packed_run(sim: &PackedSimulator<'_>, cycles: usize) -> PackedSimRun {
+    let groups = CaptureGroups::new(sim);
     PackedSimRun {
         lane_runs: (0..sim.lanes())
-            .map(|lane| sim.lane_run(lane, cycles))
+            .map(|lane| sim.lane_run_grouped(lane, cycles, &groups))
             .collect(),
         word_committed_events: sim.committed_words(),
     }
