@@ -4,7 +4,7 @@
 //! per-point reports cross-checked bit for bit — then a third time as a
 //! 64-seed packed campaign through the bit-parallel kernel, with probe
 //! lanes cross-checked against detached scalar flows. Writes the headline
-//! numbers to `BENCH_sim.json` (schema `desync-verify-hot/3`, see
+//! numbers to `BENCH_sim.json` (schema `desync-verify-hot/4`, see
 //! ROADMAP.md) — word-level and scalar-equivalent lane throughput are
 //! reported separately.
 //!

@@ -17,7 +17,7 @@
 //! in single-stimulus runs) — because conflating the two is exactly the
 //! `events_per_sec` ambiguity schema `/2` had. The `verify_hot` bin prints
 //! the report and serializes it to `BENCH_sim.json` (schema
-//! `desync-verify-hot/3`, see [`VerifyHotReport::to_json`]) as a
+//! `desync-verify-hot/4`, see [`VerifyHotReport::to_json`]) as a
 //! perf-trajectory datapoint.
 
 use crate::workloads::{bus_stimulus, dlx_program, dlx_stimulus};
@@ -76,6 +76,9 @@ pub struct VerifyHotReport {
     pub wall_serial: Duration,
     /// Worker threads of the parallel phase.
     pub threads: usize,
+    /// Cores the host offered the process: the wall figures depend on it,
+    /// so it is reported beside them.
+    pub host_cores: usize,
     /// Sweep points whose co-simulation stayed flow equivalent.
     pub equivalent_points: usize,
     /// Committed simulation events actually executed per sweep (async
@@ -186,11 +189,12 @@ impl VerifyHotReport {
         format!(
             concat!(
                 "{{\n",
-                "  \"schema\": \"desync-verify-hot/3\",\n",
+                "  \"schema\": \"desync-verify-hot/4\",\n",
                 "  \"points\": {},\n",
                 "  \"equivalent_points\": {},\n",
                 "  \"verify_cycles\": {},\n",
                 "  \"threads\": {},\n",
+                "  \"host_cores\": {},\n",
                 "  \"wall_ms\": {:.3},\n",
                 "  \"wall_ms_serial\": {:.3},\n",
                 "  \"speedup\": {:.2},\n",
@@ -215,6 +219,7 @@ impl VerifyHotReport {
             self.equivalent_points,
             VERIFY_CYCLES,
             self.threads,
+            self.host_cores,
             self.wall.as_secs_f64() * 1e3,
             self.wall_serial.as_secs_f64() * 1e3,
             self.speedup(),
@@ -241,12 +246,13 @@ impl fmt::Display for VerifyHotReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "verify-hot sweep: {} points x {} cycles, wall {} ms at {} worker(s) \
+            "verify-hot sweep: {} points x {} cycles, wall {} ms at {} worker(s) on {} core(s) \
              (serial baseline {} ms, {:.2}x)",
             self.points.len(),
             VERIFY_CYCLES,
             self.wall.as_millis(),
             self.threads,
+            self.host_cores,
             self.wall_serial.as_millis(),
             self.speedup(),
         )?;
@@ -552,6 +558,7 @@ pub fn run_verify_hot() -> VerifyHotReport {
         wall,
         wall_serial,
         threads: SWEEP_THREADS,
+        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         events_simulated,
         compile_reuses: parallel.report.compile_reuses,
         rebinds: parallel.report.rebinds,
@@ -625,7 +632,8 @@ mod tests {
             report.campaign_equivalent_lanes
         );
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"desync-verify-hot/3\""));
+        assert!(json.contains("\"schema\": \"desync-verify-hot/4\""));
+        assert!(json.contains("\"host_cores\""));
         assert!(json.contains("\"wall_ms_serial\""));
         assert!(json.contains("\"threads\": 4"));
         assert!(json.contains("\"compile_reuses\""));

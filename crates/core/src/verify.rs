@@ -11,11 +11,13 @@
 
 use crate::conversion::LatchPair;
 use crate::flow::DesyncDesign;
+use desync_mg::flow::FlowMismatch;
 use desync_mg::{FlowEquivalence, FlowTrace};
 use desync_netlist::{CellLibrary, Netlist};
 use desync_sim::{
-    AsyncTestbench, CompiledModel, PackedAsyncTestbench, PackedSimRun, PackedSyncTestbench,
-    PackedValue, PackedVectorSource, SimConfig, SimRun, SyncTestbench, VectorSource,
+    value_to_word, AsyncTestbench, CompiledModel, PackedAsyncTestbench, PackedSimRun,
+    PackedSyncTestbench, PackedValue, PackedVectorSource, SimConfig, SimRun, SyncTestbench,
+    VectorSource, MAX_LANES,
 };
 use desync_sta::TimingConfig;
 use serde::{Deserialize, Serialize};
@@ -305,11 +307,14 @@ pub fn verify_flow_equivalence_with_parts(
 /// one per-lane verdict for each stimulus seed, plus the word- and
 /// lane-level event accounting of the two packed runs.
 ///
-/// Unlike [`EquivalenceReport`] this does not retain the simulation runs —
-/// a 64-lane campaign point would otherwise hold 64 full capture/waveform
-/// sets; the per-lane verdicts and counters are what sweeps aggregate.
-/// Lane order follows the stimulus lane order, so verdicts merge
-/// deterministically regardless of worker scheduling.
+/// Unlike [`EquivalenceReport`] this does not retain the simulation runs;
+/// the per-lane verdicts and counters are what sweeps aggregate. The
+/// verdicts come from comparing the packed capture words of both runs
+/// directly (see [`verify_flow_equivalence_packed_with_parts`]), and each
+/// lane's verdict and compared-cycle count equal those of a scalar
+/// [`verify_flow_equivalence`] with that lane's stimulus. Lane order follows
+/// the stimulus lane order, so verdicts merge deterministically regardless
+/// of worker scheduling.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MultiSeedReport {
     /// Number of stimulus lanes verified (1..=64).
@@ -367,21 +372,18 @@ impl MultiSeedReport {
 }
 
 impl crate::store::Weigh for PackedSimRun {
-    /// Weight of a cached packed reference run: the sum of its extracted
-    /// per-lane runs' weights.
+    /// Weight of a cached packed reference run: its packed footprint (see
+    /// [`PackedSimRun::footprint`]), one unit per record covering every
+    /// lane — not the sum of 64 extracted lanes.
     fn weight(&self) -> usize {
-        self.lane_runs
-            .iter()
-            .map(crate::store::Weigh::weight)
-            .sum::<usize>()
-            .max(1)
+        self.footprint().max(1)
     }
 }
 
 /// The packed counterpart of [`sync_reference_run_with_model`]: one packed
 /// synchronous run carrying every stimulus lane, over the *same* compiled
-/// models the scalar path caches. Each extracted lane is bit-identical to
-/// [`sync_reference_run`] with that lane's stimulus.
+/// models the scalar path caches. Each lane ([`PackedSimRun::lane`]) is
+/// bit-identical to [`sync_reference_run`] with that lane's stimulus.
 ///
 /// # Errors
 ///
@@ -460,6 +462,23 @@ pub fn verify_flow_equivalence_packed(
 /// run and a pre-compiled model of the desynchronized datapath — the
 /// campaign fast path, mirroring [`verify_flow_equivalence_with_parts`].
 ///
+/// No lane is extracted. The verdicts are computed on the packed capture
+/// records of the two runs: the name-sorted reference registers and the
+/// master latches (paired through [`LatchPair::register_name`]) are walked
+/// once, and for each capture index one `diff_mask` over the two packed
+/// words finds every lane that disagrees there. Each lane still gets
+/// exactly the [`FlowEquivalence`] the scalar comparison reports: its first
+/// mismatch per register in register-name order, its missing registers,
+/// its compared-value count, and a compared-cycle count capped by `cycles`
+/// and that lane's shortest stream on either side.
+///
+/// The word compare needs record *k* to be capture *k* in every lane, which
+/// holds when every capture record of a register covers all live lanes —
+/// always the case here, as clock and enables are broadcast. A register
+/// with any record covering only some lanes (the *mixed-mask* case) is
+/// compared lane by lane from the same records instead, so the verdicts
+/// stay exact for any mask pattern.
+///
 /// `sync_run` must come from [`packed_sync_reference_run`] over the same
 /// `(original, library, config, period, cycles, stimulus)`, and
 /// `async_model` from `design.latch_netlist()` under
@@ -486,14 +505,13 @@ pub fn verify_flow_equivalence_packed_with_parts(
         sync_run.lanes(),
         stimulus.lanes(),
     );
-    for lane_run in &sync_run.lane_runs {
-        assert_eq!(
-            lane_run.cycles, cycles,
-            "sync reference run covers {} cycles but the equivalence check asked for {cycles}; \
-             compute the reference with the same cycle count (see packed_sync_reference_run)",
-            lane_run.cycles,
-        );
-    }
+    assert_eq!(
+        sync_run.cycles(),
+        cycles,
+        "sync reference run covers {} cycles but the equivalence check asked for {cycles}; \
+         compute the reference with the same cycle count (see packed_sync_reference_run)",
+        sync_run.cycles(),
+    );
 
     // Identical setup to the scalar path: the enable schedule and the input
     // vector times are stimulus-independent, so they are computed once and
@@ -518,45 +536,209 @@ pub fn verify_flow_equivalence_packed_with_parts(
     let duration = bundle.horizon_ps + design.cycle_time_ps() + 1_000.0;
     let async_run = async_tb.run(duration, cycles, &bundle.schedule, &inputs);
 
-    let async_word_events = async_run.word_committed_events;
-    let async_lane_events = async_run.lane_committed_events();
-    let mut lane_equivalence = Vec::with_capacity(stimulus.lanes());
-    let mut compared_cycles = Vec::with_capacity(stimulus.lanes());
-    // The async run is owned here: each lane's master streams move into the
-    // register-keyed trace instead of being copied, in register-name order
-    // so the trace is bulk-built from sorted keys.
-    let mut pairs: Vec<&LatchPair> = design.latch_design().pairs.iter().collect();
-    pairs.sort_by(|a, b| a.register_name.cmp(&b.register_name));
-    for (sync_lane, async_lane) in sync_run.lane_runs.iter().zip(async_run.lane_runs) {
-        let mut streams = async_lane.flow_trace;
-        let mapped: FlowTrace = pairs
-            .iter()
-            .filter_map(|pair| {
-                Some((
-                    pair.register_name.clone(),
-                    streams.take_stream(&pair.master)?,
-                ))
-            })
-            .collect();
-        let limit = cycles
-            .min(mapped.min_stream_len())
-            .min(sync_lane.flow_trace.min_stream_len());
-        lane_equivalence.push(FlowEquivalence::compare_prefix(
-            &sync_lane.flow_trace,
-            &mapped,
-            limit,
-        ));
-        compared_cycles.push(limit);
-    }
+    let (lane_equivalence, compared_cycles) =
+        compare_packed_captures(sync_run, &async_run, &design.latch_design().pairs, cycles);
     Ok(MultiSeedReport {
         lanes: stimulus.lanes(),
         lane_equivalence,
         compared_cycles,
         sync_word_events: sync_run.word_committed_events,
         sync_lane_events: sync_run.lane_committed_events(),
-        async_word_events,
-        async_lane_events,
+        async_word_events: async_run.word_committed_events,
+        async_lane_events: async_run.lane_committed_events(),
     })
+}
+
+/// One cell's chronological `(lane mask, value)` capture records.
+type Records<'r> = &'r [(u64, PackedValue)];
+
+/// One register of a packed comparison: its name, its reference records and
+/// its master latch's records, each absent when that cell never captured.
+type Register<'r> = (&'r str, Option<Records<'r>>, Option<Records<'r>>);
+
+/// The per-lane verdicts and compared-cycle counts of a packed
+/// co-simulation: for every lane exactly what
+/// [`FlowEquivalence::compare_prefix`] returns on that lane's extracted
+/// reference trace and master-latch trace (renamed to the registers), with
+/// the prefix capped by `cycles` and both traces' shortest streams — without
+/// extracting a single lane.
+///
+/// Registers are walked once in name order, merging the reference cells
+/// with the latch pairs. A register whose records all cover every live lane
+/// on both sides has the same stream length in every lane, so its capture
+/// *k* is record *k* on both sides and one `diff_mask` compares it across
+/// all lanes; each lane keeps its own prefix limit and stops at its first
+/// mismatch. Any other register is compared lane by lane from the same
+/// records.
+fn compare_packed_captures(
+    sync_run: &PackedSimRun,
+    async_run: &PackedSimRun,
+    pairs: &[LatchPair],
+    cycles: usize,
+) -> (Vec<FlowEquivalence>, Vec<usize>) {
+    let lanes = sync_run.lanes();
+    let live = sync_run.lane_mask();
+    let mut masters: Vec<(&str, Records)> = pairs
+        .iter()
+        .filter_map(|pair| {
+            let records = async_run.cell_captures(&pair.master)?;
+            Some((pair.register_name.as_str(), records))
+        })
+        .collect();
+    masters.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let mut registers: Vec<Register> = Vec::with_capacity(masters.len());
+    let mut masters = masters.into_iter().peekable();
+    for (name, reference) in sync_run.capture_cells() {
+        while let Some((master_name, checked)) = masters.next_if(|&(other, _)| other < name) {
+            registers.push((master_name, None, Some(checked)));
+        }
+        let checked = masters.next_if(|&(other, _)| other == name).map(|(_, c)| c);
+        registers.push((name, Some(reference), checked));
+    }
+    registers.extend(masters.map(|(name, checked)| (name, None, Some(checked))));
+
+    // Each lane's prefix limit: `cycles`, capped by the shortest stream of
+    // either trace in that lane (0 when a trace has no stream there).
+    let mut shortest = [[usize::MAX; MAX_LANES]; 2];
+    for &(_, reference, checked) in &registers {
+        for (side, records) in [reference, checked].into_iter().enumerate() {
+            if let Some(records) = records {
+                shorten(&mut shortest[side][..lanes], records, live);
+            }
+        }
+    }
+    let limit: Vec<usize> = (0..lanes)
+        .map(|lane| {
+            let trace_min = |side: usize| match shortest[side][lane] {
+                usize::MAX => 0,
+                len => len,
+            };
+            cycles.min(trace_min(0)).min(trace_min(1))
+        })
+        .collect();
+    // Lanes whose prefix ends at capture index k, so a word scan drops them
+    // there.
+    let mut ends_at = vec![0u64; cycles + 1];
+    for (lane, &end) in limit.iter().enumerate() {
+        ends_at[end] |= 1 << lane;
+    }
+    let longest = limit.iter().copied().max().unwrap_or(0);
+
+    let mut verdicts: Vec<FlowEquivalence> = (0..lanes)
+        .map(|_| FlowEquivalence {
+            mismatches: Vec::new(),
+            missing_registers: Vec::new(),
+            compared_values: 0,
+        })
+        .collect();
+    for (name, reference, checked) in registers {
+        match (reference, checked) {
+            (Some(reference), Some(checked))
+                if covers_all(reference, live) && covers_all(checked, live) =>
+            {
+                let common = reference.len().min(checked.len());
+                for (verdict, &end) in verdicts.iter_mut().zip(&limit) {
+                    verdict.compared_values += common.min(end);
+                }
+                let mut pending = live;
+                for k in 0..common.min(longest) {
+                    pending &= !ends_at[k];
+                    let (expected, actual) = (reference[k].1, checked[k].1);
+                    let mut differ = expected.diff_mask(actual) & pending;
+                    pending &= !differ;
+                    while differ != 0 {
+                        let lane = differ.trailing_zeros() as usize;
+                        differ &= differ - 1;
+                        verdicts[lane].mismatches.push(FlowMismatch {
+                            register: name.to_owned(),
+                            position: k,
+                            reference: Some(value_to_word(expected.lane(lane))),
+                            checked: Some(value_to_word(actual.lane(lane))),
+                        });
+                    }
+                    if pending == 0 {
+                        break;
+                    }
+                }
+            }
+            _ => {
+                for (lane, verdict) in verdicts.iter_mut().enumerate() {
+                    compare_lane(verdict, lane, name, reference, checked, limit[lane]);
+                }
+            }
+        }
+    }
+    (verdicts, limit)
+}
+
+/// Whether every record covers every `live` lane, making each lane's stream
+/// the whole record list.
+fn covers_all(records: Records, live: u64) -> bool {
+    records.iter().all(|&(mask, _)| mask == live)
+}
+
+/// Lowers each lane's shortest-stream length to `records`' stream length
+/// in that lane; lanes the records never reach have no stream and keep
+/// theirs.
+fn shorten(shortest: &mut [usize], records: Records, live: u64) {
+    if covers_all(records, live) {
+        for len in shortest.iter_mut() {
+            *len = (*len).min(records.len());
+        }
+        return;
+    }
+    let mut lane_len = [0usize; MAX_LANES];
+    for &(mut mask, _) in records {
+        while mask != 0 {
+            lane_len[mask.trailing_zeros() as usize] += 1;
+            mask &= mask - 1;
+        }
+    }
+    for (len, &count) in shortest.iter_mut().zip(&lane_len) {
+        if count > 0 {
+            *len = (*len).min(count);
+        }
+    }
+}
+
+/// [`FlowEquivalence::compare_prefix`]'s step for one register in one lane,
+/// over the lane's streams extracted from the records: a register with a
+/// stream on one side only is missing, one with streams on both sides has
+/// its common prefix up to `limit` compared and reports its first mismatch.
+fn compare_lane(
+    verdict: &mut FlowEquivalence,
+    lane: usize,
+    name: &str,
+    reference: Option<Records>,
+    checked: Option<Records>,
+    limit: usize,
+) {
+    let stream = |records: Option<Records>| -> Vec<u64> {
+        records.map_or_else(Vec::new, |records| {
+            records
+                .iter()
+                .filter(|&&(mask, _)| mask & (1 << lane) != 0)
+                .map(|&(_, value)| value_to_word(value.lane(lane)))
+                .collect()
+        })
+    };
+    let (reference, checked) = (stream(reference), stream(checked));
+    match (reference.is_empty(), checked.is_empty()) {
+        (true, true) => {}
+        (false, false) => {
+            let n = reference.len().min(checked.len()).min(limit);
+            verdict.compared_values += n;
+            if let Some(position) = (0..n).find(|&i| reference[i] != checked[i]) {
+                verdict.mismatches.push(FlowMismatch {
+                    register: name.to_owned(),
+                    position,
+                    reference: Some(reference[position]),
+                    checked: Some(checked[position]),
+                });
+            }
+        }
+        _ => verdict.missing_registers.push(name.to_owned()),
+    }
 }
 
 #[cfg(test)]
@@ -566,6 +748,7 @@ mod tests {
     use crate::options::DesyncOptions;
     use crate::Protocol;
     use desync_netlist::{CellKind, Value};
+    use desync_sim::EnableSchedule;
 
     fn lib() -> CellLibrary {
         CellLibrary::generic_90nm()
@@ -742,6 +925,153 @@ mod tests {
         assert_eq!(report.async_lane_events, async_lane_events);
         assert!(report.sync_word_events <= sync_lane_events);
         assert!(report.async_word_events <= async_lane_events);
+    }
+
+    /// A bank of high-transparent latches sampling one shared data input
+    /// `d`, each latch with its own enable input `en_<latch>`.
+    fn latch_bank(name: &str, latches: &[&str]) -> Netlist {
+        let mut n = Netlist::new(name);
+        let d = n.add_input("d");
+        for &latch in latches {
+            let en = n.add_input(format!("en_{latch}"));
+            let q = n.add_output(format!("q_{latch}"));
+            n.add_latch(latch, d, en, q, true).unwrap();
+        }
+        n
+    }
+
+    /// Runs `bank` with per-lane enable values: in lane `l`, latch `k`
+    /// opens for enable pulse `j` when `opens(l, k, j)`, capturing
+    /// `data(l, j)`.
+    fn run_per_lane_enables(
+        bank: &Netlist,
+        latches: &[&str],
+        lanes: usize,
+        opens: impl Fn(usize, usize, usize) -> bool,
+        data: impl Fn(usize, usize) -> Value,
+    ) -> PackedSimRun {
+        const MAX_PULSES: usize = 8;
+        let library = lib();
+        let d = bank.find_net("d").unwrap();
+        let mut inputs = Vec::new();
+        for j in 0..MAX_PULSES {
+            let base = 1_000.0 + j as f64 * 1_000.0;
+            let mut value = PackedValue::splat(Value::Zero);
+            for lane in 0..lanes {
+                value.set_lane(lane, data(lane, j));
+            }
+            inputs.push((base - 250.0, d, value));
+            for (k, latch) in latches.iter().enumerate() {
+                let en = bank.find_net(&format!("en_{latch}")).unwrap();
+                let mut open = PackedValue::splat(Value::Zero);
+                for lane in (0..lanes).filter(|&lane| opens(lane, k, j)) {
+                    open.set_lane(lane, Value::One);
+                }
+                inputs.push((base, en, open));
+                inputs.push((base + 500.0, en, PackedValue::splat(Value::Zero)));
+            }
+        }
+        let mut tb = PackedAsyncTestbench::new(bank, &library, SimConfig::default(), lanes);
+        tb.run(12_000.0, MAX_PULSES, &EnableSchedule::new(), &inputs)
+    }
+
+    fn pair(register: &str) -> LatchPair {
+        LatchPair {
+            register: desync_netlist::CellId(0),
+            register_name: register.to_string(),
+            master: format!("{register}__m"),
+            slave: format!("{register}__s"),
+            cluster: 0,
+        }
+    }
+
+    #[test]
+    fn packed_compare_with_per_lane_enables_matches_scalar_compare() {
+        // Capture records that cover only some lanes (per-lane enables)
+        // take the lane-by-lane branch; `r0` covers every lane on both
+        // sides and takes the word branch. Streams differ in length per
+        // lane and skip records in some lanes (`r2__m`), registers exist on
+        // one side only or in some lanes only (`r1` in lane 6), and data
+        // disagrees at lane-dependent positions (X included), some of them
+        // past a lane's prefix limit.
+        let lanes = 7;
+        let reference_latches = ["r0", "r1", "r2", "ref_only"];
+        let checked_latches = ["r0__m", "r1__m", "r2__m", "chk_only__m"];
+        let reference_bank = latch_bank("reference", &reference_latches);
+        let checked_bank = latch_bank("checked", &checked_latches);
+        let data = |lane: usize, j: usize| match (lane * 7 + j * 3) % 5 {
+            0 => Value::X,
+            1 | 2 => Value::One,
+            _ => Value::Zero,
+        };
+        let flipped = |lane: usize, j: usize| {
+            if (lane % 3 == 1 && j == 2 + lane % 4) || (lane == 0 && j == 4) {
+                !data(lane, j)
+            } else if lane == 5 && j == 1 {
+                Value::X
+            } else {
+                data(lane, j)
+            }
+        };
+        let reference = run_per_lane_enables(
+            &reference_bank,
+            &reference_latches,
+            lanes,
+            |lane, k, j| match k {
+                1 => lane != 6 && j < 4 + lane % 3,
+                3 => lane % 2 == 1 && j < 7,
+                _ => j < 6,
+            },
+            data,
+        );
+        let checked = run_per_lane_enables(
+            &checked_bank,
+            &checked_latches,
+            lanes,
+            |lane, k, j| match k {
+                1 => j < 5,
+                2 => j < 3 + lane % 4 && !(lane % 2 == 0 && j == 1),
+                3 => lane % 3 == 0,
+                _ => j < 6,
+            },
+            flipped,
+        );
+        let pairs: Vec<LatchPair> = ["r0", "r1", "r2", "chk_only", "never"]
+            .into_iter()
+            .map(pair)
+            .collect();
+
+        for cycles in [4, 8] {
+            let (verdicts, limits) = compare_packed_captures(&reference, &checked, &pairs, cycles);
+            assert_eq!(verdicts.len(), lanes);
+            for lane in 0..lanes {
+                let sync_trace = reference.lane(lane).flow_trace;
+                let mut streams = checked.lane(lane).flow_trace;
+                let mapped: FlowTrace = pairs
+                    .iter()
+                    .filter_map(|p| {
+                        Some((p.register_name.clone(), streams.take_stream(&p.master)?))
+                    })
+                    .collect();
+                let limit = cycles
+                    .min(mapped.min_stream_len())
+                    .min(sync_trace.min_stream_len());
+                let expected = FlowEquivalence::compare_prefix(&sync_trace, &mapped, limit);
+                assert_eq!(limits[lane], limit, "cycles {cycles}, lane {lane}");
+                assert_eq!(verdicts[lane], expected, "cycles {cycles}, lane {lane}");
+            }
+            // The case exercises what it claims to: per-lane limits,
+            // per-lane missing registers and mismatches on both branches.
+            assert!(limits.iter().any(|&l| l != limits[0]) || cycles == 4);
+            assert!(verdicts.iter().any(|v| v.missing_registers.is_empty()));
+            assert!(verdicts.iter().any(|v| !v.missing_registers.is_empty()));
+            let mismatched = |register: &str| {
+                verdicts
+                    .iter()
+                    .any(|v| v.mismatches.iter().any(|m| m.register == register))
+            };
+            assert!(mismatched("r0") && mismatched("r1") && mismatched("r2"));
+        }
     }
 
     #[test]

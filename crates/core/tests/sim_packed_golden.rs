@@ -78,7 +78,7 @@ fn assert_sync_lanes_golden(
         let scalar_run = scalar_tb.run(cycles, period_ps, &source);
         assert_eq!(
             packed_run.lane(lane),
-            &scalar_run,
+            scalar_run,
             "sync lane {lane} (seed {seed:#x}) must be bit-identical to the scalar kernel"
         );
     }
@@ -189,7 +189,7 @@ proptest! {
             let scalar_run = scalar_tb.run(duration, cycles, &bundle.schedule, &inputs);
             assert_eq!(
                 packed_run.lane(lane),
-                &scalar_run,
+                scalar_run,
                 "async lane {lane} under {protocol:?} must be bit-identical to the scalar kernel"
             );
         }

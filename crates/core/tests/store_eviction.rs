@@ -4,9 +4,13 @@
 //! verification reports, recomputing whatever was evicted.
 
 use desync_circuits::LinearPipelineConfig;
-use desync_core::{DesyncEngine, DesyncFlow, DesyncOptions, DesyncRuntime, Stage, StoreConfig};
-use desync_netlist::{CellLibrary, Netlist};
-use desync_sim::VectorSource;
+use desync_core::verify::sim_config_for;
+use desync_core::{
+    packed_sync_reference_run, DesyncEngine, DesyncFlow, DesyncOptions, DesyncRuntime, Stage,
+    StoreConfig, Weigh,
+};
+use desync_netlist::{CellLibrary, NetId, Netlist};
+use desync_sim::{PackedVectorSource, VectorSource, MAX_LANES};
 
 fn designs() -> Vec<Netlist> {
     [(3, 4, 1), (4, 6, 2), (2, 8, 1), (5, 4, 2)]
@@ -171,5 +175,50 @@ fn evicted_sync_runs_reverify_bit_identically() {
     assert!(
         report.sync_run_misses > 4,
         "evicted reference runs must re-simulate: {report}"
+    );
+}
+
+/// A packed sync reference cached by a campaign point weighs its packed
+/// footprint (one unit per record covering all 64 lanes), well below the
+/// summed weight of the 64 scalar runs it stands for.
+#[test]
+fn cached_packed_reference_weighs_its_packed_footprint() {
+    let netlist = designs().remove(1);
+    let library = CellLibrary::generic_90nm();
+    let inputs: Vec<NetId> = netlist
+        .inputs()
+        .iter()
+        .copied()
+        .filter(|&n| netlist.net(n).name != "clk")
+        .collect();
+    let seeds: Vec<u64> = (1..=MAX_LANES as u64).collect();
+    let stimulus = PackedVectorSource::pseudo_random(inputs, &seeds);
+    let engine = DesyncEngine::with_workers(1);
+    let mut flow = engine
+        .flow(&netlist, &library, DesyncOptions::default())
+        .unwrap();
+    flow.verify_packed(&stimulus, 16).unwrap();
+    let design = flow.design().unwrap();
+
+    let reference = packed_sync_reference_run(
+        &netlist,
+        &library,
+        sim_config_for(&design),
+        design.synchronous_period_ps(),
+        16,
+        &stimulus,
+    )
+    .unwrap();
+    let report = engine.report();
+    assert_eq!(report.sync_runs, 1);
+    assert_eq!(report.sync_run_resident_weight, reference.footprint());
+    assert_eq!(reference.weight(), reference.footprint());
+    let lane_sum: usize = (0..MAX_LANES)
+        .map(|lane| reference.lane(lane).weight())
+        .sum();
+    assert!(
+        report.sync_run_resident_weight < lane_sum,
+        "packed weight {} vs 64-lane sum {lane_sum}",
+        report.sync_run_resident_weight
     );
 }

@@ -107,6 +107,15 @@ pub enum EdifError {
     },
     /// The file defines no top cell (no `(design ...)` and no cells).
     MissingTop,
+    /// Lists nest deeper than [`MAX_NESTING_DEPTH`] levels. The reader
+    /// recurses once per open list, so it stops here instead of letting a
+    /// hostile file overflow the stack.
+    NestingTooDeep {
+        /// The `(` that would open the first list past the limit.
+        pos: Pos,
+        /// The nesting limit in force.
+        limit: usize,
+    },
     /// Rebuilding the flat netlist failed structurally (duplicate names
     /// after flattening, arity mismatches, ...).
     Netlist(NetlistError),
@@ -128,6 +137,9 @@ impl fmt::Display for EdifError {
                 write!(f, "cell `{cell}` instantiates itself (recursive hierarchy)")
             }
             EdifError::MissingTop => write!(f, "edif file defines no top cell"),
+            EdifError::NestingTooDeep { pos, limit } => {
+                write!(f, "edif lists nest deeper than {limit} levels at {pos}")
+            }
             EdifError::Netlist(e) => write!(f, "flattened netlist is malformed: {e}"),
         }
     }
@@ -183,6 +195,12 @@ impl Sexp {
     }
 }
 
+/// Deepest list nesting the EDIF reader accepts. Real netlists nest about a
+/// dozen levels (`edif` → `library` → `cell` → `view` → `contents` → `net`
+/// → `joined` → `portRef` → ...); the limit leaves ample headroom while
+/// keeping the reader's recursion far inside a 2 MiB thread stack.
+pub const MAX_NESTING_DEPTH: usize = 256;
+
 /// Byte-slice lexer/reader. EDIF syntax is pure ASCII at the structural
 /// level (parens, whitespace, quotes); any UTF-8 payload bytes pass through
 /// inside atoms and strings untouched, so byte indexing is safe here and an
@@ -194,6 +212,8 @@ struct SexpParser<'a> {
     at: usize,
     line: usize,
     line_start: usize,
+    /// Lists currently open around the read position.
+    depth: usize,
 }
 
 impl<'a> SexpParser<'a> {
@@ -204,6 +224,7 @@ impl<'a> SexpParser<'a> {
             at: 0,
             line: 1,
             line_start: 0,
+            depth: 0,
         }
     }
 
@@ -241,19 +262,17 @@ impl<'a> SexpParser<'a> {
         match self.peek() {
             None => Err(err(pos, "unexpected end of file")),
             Some(b'(') => {
-                self.bump();
-                let mut items = Vec::new();
-                loop {
-                    self.skip_whitespace();
-                    match self.peek() {
-                        None => return Err(err(pos, "unclosed `(`")),
-                        Some(b')') => {
-                            self.bump();
-                            return Ok(Sexp::List(items, pos));
-                        }
-                        Some(_) => items.push(self.parse()?),
-                    }
+                if self.depth == MAX_NESTING_DEPTH {
+                    return Err(EdifError::NestingTooDeep {
+                        pos,
+                        limit: MAX_NESTING_DEPTH,
+                    });
                 }
+                self.bump();
+                self.depth += 1;
+                let list = self.parse_list_items(pos);
+                self.depth -= 1;
+                list
             }
             Some(b')') => Err(err(pos, "unexpected `)`")),
             Some(b'"') => {
@@ -280,6 +299,23 @@ impl<'a> SexpParser<'a> {
                     self.bump();
                 }
                 Ok(Sexp::Atom(self.text[start..self.at].to_string(), pos))
+            }
+        }
+    }
+
+    /// Parses the items of a list whose `(` at `pos` was just consumed,
+    /// through its closing `)`.
+    fn parse_list_items(&mut self, pos: Pos) -> Result<Sexp, EdifError> {
+        let mut items = Vec::new();
+        loop {
+            self.skip_whitespace();
+            match self.peek() {
+                None => return Err(err(pos, "unclosed `(`")),
+                Some(b')') => {
+                    self.bump();
+                    return Ok(Sexp::List(items, pos));
+                }
+                Some(_) => items.push(self.parse()?),
             }
         }
     }
@@ -1321,6 +1357,27 @@ mod tests {
         let e =
             from_edif("(edif x (library L (cell c (view v (interface (port p))))))").unwrap_err();
         assert!(e.to_string().contains("direction"), "{e}");
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        // 50,000 nested lists would overflow the stack of a reader that
+        // recursed without bound; run on a spawned thread's smaller stack.
+        let text = "(".repeat(50_000) + &")".repeat(50_000);
+        let result = std::thread::spawn(move || from_edif(&text))
+            .join()
+            .expect("the reader thread completes");
+        match result {
+            Err(EdifError::NestingTooDeep { pos, limit }) => {
+                assert_eq!(limit, MAX_NESTING_DEPTH);
+                assert_eq!((pos.line, pos.col), (1, MAX_NESTING_DEPTH + 1));
+            }
+            other => panic!("expected NestingTooDeep, got {other:?}"),
+        }
+        // Nesting right at the limit is read (and then rejected as an EDIF
+        // document, not for its depth).
+        let at_limit = "(".repeat(MAX_NESTING_DEPTH) + &")".repeat(MAX_NESTING_DEPTH);
+        assert!(matches!(from_edif(&at_limit), Err(EdifError::Parse { .. })));
     }
 
     #[test]

@@ -135,6 +135,9 @@ fn malformed_corpus_is_rejected_with_typed_errors() {
             EdifError::MissingTop => {
                 assert!(name.starts_with("missing_top"), "{name}: {error}");
             }
+            EdifError::NestingTooDeep { .. } => {
+                assert!(name.starts_with("too_deep"), "{name}: {error}");
+            }
             EdifError::Netlist(_) => {
                 assert!(name.starts_with("netlist_"), "{name}: {error}");
             }

@@ -41,7 +41,9 @@ impl SimRun {
     }
 }
 
-pub(crate) fn value_to_word(value: Value) -> u64 {
+/// The flow-trace word of a captured value (`Zero` = 0, `One` = 1,
+/// `X` = 2): what a capture stream stores per captured value.
+pub fn value_to_word(value: Value) -> u64 {
     match value {
         Value::Zero => 0,
         Value::One => 1,

@@ -32,10 +32,12 @@
 //!   plane masks. Under matched delays the event *schedule* is
 //!   stimulus-independent, so the calendar queue, the CSR topology walk and
 //!   the scheduling rules are byte-for-byte the scalar kernel's — only the
-//!   payloads widen. Per-lane extraction ([`PackedSimRun`]) returns
-//!   captures, activity and waveforms bit-identical to 64 scalar runs at
-//!   roughly the cost of one, which is what makes 64-seed equivalence
-//!   campaigns ~1× the price of a single-seed verification.
+//!   payloads widen. A [`PackedSimRun`] keeps its captures packed, grouped
+//!   per cell; [`PackedSimRun::lane`] builds any lane's captures, activity
+//!   and waveforms on demand, bit-identical to a scalar run, while
+//!   equivalence campaigns compare the packed capture words directly —
+//!   which is what makes 64-seed campaigns ~1× the price of a single-seed
+//!   verification.
 //!
 //! [`PackedSyncTestbench`] / [`PackedAsyncTestbench`] mirror the scalar
 //! harnesses' drive scripts exactly (control nets are broadcast across
@@ -136,7 +138,7 @@ pub mod waveform;
 
 pub use activity::Activity;
 pub use engine::{EventSimulator, SimConfig};
-pub use harness::{AsyncTestbench, EnableSchedule, SimRun, SyncTestbench};
+pub use harness::{value_to_word, AsyncTestbench, EnableSchedule, SimRun, SyncTestbench};
 pub use model::CompiledModel;
 pub use packed::{
     PackedAsyncTestbench, PackedCapture, PackedSimRun, PackedSimulator, PackedSyncTestbench,

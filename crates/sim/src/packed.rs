@@ -48,14 +48,13 @@
 //! and all per-lane accounting is masked to the live lanes.
 
 use crate::activity::Activity;
-use crate::engine::{CalendarQueue, Capture, Event, SimConfig};
+use crate::engine::{CalendarQueue, Event, SimConfig};
 use crate::harness::{value_to_word, EnableSchedule, SimRun};
 use crate::model::CompiledModel;
 use crate::stimulus::PackedVectorSource;
 use crate::waveform::{Waveform, WaveformSet};
 use desync_mg::FlowTrace;
 use desync_netlist::{CellId, CellKind, CellLibrary, NetId, Netlist, NetlistError, Value};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Number of stimulus lanes one machine word carries.
@@ -261,6 +260,15 @@ pub fn packed_evaluate_latch(
     PackedValue::select(enable.known_mask(), known, unknown_en)
 }
 
+/// Mask of the low `lanes` bits: the live lanes of a packed word.
+fn live_lane_mask(lanes: usize) -> u64 {
+    if lanes == MAX_LANES {
+        !0
+    } else {
+        (1u64 << lanes) - 1
+    }
+}
+
 /// One packed register capture: the packed data value latched by a
 /// sequential cell, together with the mask of lanes that actually saw a
 /// capturing edge at this instant.
@@ -359,11 +367,7 @@ impl<'a> PackedSimulator<'a> {
             netlist.num_cells(),
         );
         let num_nets = model.num_nets();
-        let lane_mask = if lanes == MAX_LANES {
-            !0
-        } else {
-            (1u64 << lanes) - 1
-        };
+        let lane_mask = live_lane_mask(lanes);
         let mut sim = Self {
             netlist,
             model,
@@ -668,38 +672,189 @@ impl<'a> PackedSimulator<'a> {
         }
     }
 
-    /// Extracts lane `lane`'s switching-activity counters — bit-identical
-    /// to the `activity` of the corresponding scalar run.
-    pub fn lane_activity(&self, lane: usize) -> Activity {
-        let nets = self.model.num_nets;
-        Activity {
-            transitions: self.lane_transitions[lane * nets..(lane + 1) * nets].to_vec(),
+    /// Moves the observables recorded so far into a [`PackedSimRun`] with
+    /// `cycles` as the logical cycle count, grouping the captures per cell;
+    /// the cursor's records and counters restart empty.
+    fn take_run(&mut self, cycles: usize) -> PackedSimRun {
+        let netlist = self.netlist;
+        let captures = std::mem::take(&mut self.captures);
+        // Counting sort by cell: one pass counts each cell's captures, the
+        // name-sorted rows fix the offsets, and a second pass places every
+        // record, keeping each cell's records chronological.
+        let mut cursor = vec![0usize; netlist.num_cells()];
+        for cap in &captures {
+            cursor[cap.cell.index()] += 1;
+        }
+        let mut rows: Vec<(&'static str, usize)> = cursor
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(cell, _)| (netlist.cell(CellId(cell as u32)).name.as_str(), cell))
+            .collect();
+        // Cell names are unique within a netlist, so the order is total.
+        rows.sort_unstable();
+        let mut cell_offsets = Vec::with_capacity(rows.len() + 1);
+        cell_offsets.push(0);
+        let mut end = 0;
+        for &(_, cell) in &rows {
+            let count = cursor[cell];
+            cursor[cell] = end;
+            end += count;
+            cell_offsets.push(end);
+        }
+        let mut records = vec![(0, PackedValue::default()); captures.len()];
+        for cap in &captures {
+            let slot = &mut cursor[cap.cell.index()];
+            records[*slot] = (cap.lanes, cap.value);
+            *slot += 1;
+        }
+        PackedSimRun {
+            lanes: self.lanes,
+            cycles,
             duration_ps: self.duration_ps,
+            word_committed_events: std::mem::take(&mut self.committed_words),
+            cell_names: rows.into_iter().map(|(name, _)| name).collect(),
+            cell_offsets,
+            captures: records,
+            lane_committed: std::mem::replace(&mut self.lane_committed, vec![0; self.lanes]),
+            lane_transitions: std::mem::replace(
+                &mut self.lane_transitions,
+                vec![0; self.lanes * self.model.num_nets],
+            ),
+            waves: self
+                .waves
+                .iter_mut()
+                .map(|(net, changes)| (netlist.net(*net).name.as_str(), std::mem::take(changes)))
+                .collect(),
         }
     }
+}
 
-    /// Extracts lane `lane`'s capture stream as scalar [`Capture`]s.
-    pub fn lane_captures(&self, lane: usize) -> Vec<Capture> {
-        let bit = 1u64 << lane;
-        self.captures
-            .iter()
-            .filter(|cap| cap.lanes & bit != 0)
-            .map(|cap| Capture {
-                time_ps: cap.time_ps,
-                cell: cap.cell,
-                value: cap.value.lane(lane),
-            })
-            .collect()
+/// The observable result of one packed run, kept in packed form.
+///
+/// Captures are grouped per capturing cell once, in the
+/// compressed-sparse-row layout [`CompiledModel`] uses: row *r* (cells
+/// sorted by name) owns the chronological `(lane mask, value)` records
+/// `captures[cell_offsets[r]..cell_offsets[r + 1]]`, each record standing
+/// for one captured value in every lane of its mask. Per-lane event
+/// counters, per-lane switching activity and the watched nets' packed
+/// change records are kept beside them.
+///
+/// Lanes are never extracted eagerly: [`PackedSimRun::lane`] builds one
+/// lane's scalar [`SimRun`] on demand, bit-identical to running the scalar
+/// kernel with that lane's stimulus, while word-level consumers (the
+/// flow-equivalence campaign in `desync-core`) read the grouped records
+/// directly through [`PackedSimRun::capture_cells`] and
+/// [`PackedSimRun::cell_captures`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedSimRun {
+    lanes: usize,
+    cycles: usize,
+    duration_ps: f64,
+    /// Number of committed word events (the kernel's real work; each word
+    /// event advances all lanes at once).
+    pub word_committed_events: usize,
+    /// Capturing cells' names, sorted (cell names are unique per netlist).
+    cell_names: Vec<&'static str>,
+    /// CSR row offsets into `captures`, one more than `cell_names`.
+    cell_offsets: Vec<usize>,
+    /// Capture records grouped by cell, chronological within a cell.
+    captures: Vec<(u64, PackedValue)>,
+    /// Per-lane committed-event counters.
+    lane_committed: Vec<u64>,
+    /// Lane-major per-net switching counters (`lanes × nets`).
+    lane_transitions: Vec<u64>,
+    /// Raw packed change records of the watched nets, in watch order.
+    waves: Vec<(&'static str, Vec<(f64, PackedValue)>)>,
+}
+
+impl PackedSimRun {
+    /// Number of live lanes.
+    pub fn lanes(&self) -> usize {
+        self.lanes
     }
 
-    /// Extracts lane `lane`'s waveforms for all watched nets.
+    /// Mask of the live lanes (`lanes` low bits).
+    pub fn lane_mask(&self) -> u64 {
+        live_lane_mask(self.lanes)
+    }
+
+    /// Number of clock cycles (synchronous) or scheduled iterations
+    /// (asynchronous) the run recorded as its logical cycle count.
+    pub fn cycles(&self) -> usize {
+        self.cycles
+    }
+
+    /// Total scalar-equivalent committed events across all lanes — what 64
+    /// scalar runs would have committed; the numerator of the packed
+    /// speedup.
+    pub fn lane_committed_events(&self) -> usize {
+        self.lane_committed.iter().sum::<u64>() as usize
+    }
+
+    /// The capturing cells in name order, each with its chronological
+    /// `(lane mask, value)` capture records. Lane *l*'s capture stream of a
+    /// cell is the subsequence of records whose mask holds bit *l*.
+    pub fn capture_cells(
+        &self,
+    ) -> impl Iterator<Item = (&'static str, &[(u64, PackedValue)])> + '_ {
+        self.cell_names
+            .iter()
+            .zip(self.cell_offsets.windows(2))
+            .map(|(&name, range)| (name, &self.captures[range[0]..range[1]]))
+    }
+
+    /// The capture records of the cell named `name`, `None` when it never
+    /// captured.
+    pub fn cell_captures(&self, name: &str) -> Option<&[(u64, PackedValue)]> {
+        let row = self.cell_names.binary_search(&name).ok()?;
+        Some(&self.captures[self.cell_offsets[row]..self.cell_offsets[row + 1]])
+    }
+
+    /// Number of packed records the run retains — capture records and
+    /// waveform change records, each covering every lane at once — plus the
+    /// cycle count: the packed counterpart of a scalar run's store weight.
+    pub fn footprint(&self) -> usize {
+        self.captures.len()
+            + self
+                .waves
+                .iter()
+                .map(|(_, changes)| changes.len())
+                .sum::<usize>()
+            + self.cycles
+    }
+
+    /// Builds lane `lane`'s scalar [`SimRun`]: bit-identical to running the
+    /// scalar kernel with that lane's stimulus (capture streams, activity,
+    /// waveforms, committed events and duration).
     ///
-    /// Packed change records are collapsed per lane: a record whose lane
-    /// value equals the previous one is a change on *other* lanes only and
-    /// is skipped, which reproduces the scalar recording exactly.
-    pub fn lane_waveforms(&self, lane: usize) -> WaveformSet {
-        let mut set = WaveformSet::new();
-        for (net, changes) in &self.waves {
+    /// # Panics
+    ///
+    /// Panics if `lane` is not a live lane.
+    pub fn lane(&self, lane: usize) -> SimRun {
+        assert!(
+            lane < self.lanes,
+            "lane {lane} of a {}-lane packed run",
+            self.lanes
+        );
+        let bit = 1u64 << lane;
+        let flow_trace: FlowTrace = self
+            .capture_cells()
+            .filter_map(|(name, records)| {
+                let values: Vec<u64> = records
+                    .iter()
+                    .filter(|(lanes, _)| lanes & bit != 0)
+                    .map(|(_, value)| value_to_word(value.lane(lane)))
+                    .collect();
+                (!values.is_empty()).then(|| (name.to_owned(), values))
+            })
+            .collect();
+        let nets = self.lane_transitions.len() / self.lanes;
+        let mut waveforms = WaveformSet::new();
+        // Packed change records are collapsed per lane: a record whose lane
+        // value equals the previous one is a change on *other* lanes only
+        // and is skipped, which reproduces the scalar recording exactly.
+        for (name, changes) in &self.waves {
             let mut wave = Waveform::new();
             let mut previous = Value::X;
             for &(time_ps, packed) in changes {
@@ -709,130 +864,19 @@ impl<'a> PackedSimulator<'a> {
                     previous = value;
                 }
             }
-            set.insert(self.netlist.net(*net).name.to_string(), wave);
+            waveforms.insert(name.to_string(), wave);
         }
-        set
-    }
-
-    /// Extracts lane `lane` as a full scalar [`SimRun`] with `cycles`
-    /// recorded as the logical cycle count.
-    pub fn lane_run(&self, lane: usize, cycles: usize) -> SimRun {
-        self.lane_run_grouped(lane, cycles, &CaptureGroups::new(self))
-    }
-
-    /// [`PackedSimulator::lane_run`] over captures already grouped per cell,
-    /// so extracting every lane groups them (and resolves names) once.
-    fn lane_run_grouped(&self, lane: usize, cycles: usize, groups: &CaptureGroups) -> SimRun {
         SimRun {
-            flow_trace: groups.lane_trace(lane),
-            activity: self.lane_activity(lane),
-            waveforms: self.lane_waveforms(lane),
-            cycles,
+            flow_trace,
+            activity: Activity {
+                transitions: self.lane_transitions[lane * nets..(lane + 1) * nets].to_vec(),
+                duration_ps: self.duration_ps,
+            },
+            waveforms,
+            cycles: self.cycles,
             duration_ps: self.duration_ps,
-            committed_events: self.lane_committed_events(lane),
+            committed_events: self.lane_committed[lane] as usize,
         }
-    }
-}
-
-/// The observable result of one packed run: every lane extracted to a
-/// scalar [`SimRun`], plus the word-level work the kernel actually did.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PackedSimRun {
-    /// One extracted scalar run per live lane, bit-identical to running the
-    /// scalar kernel with that lane's stimulus.
-    pub lane_runs: Vec<SimRun>,
-    /// Number of committed word events (the kernel's real work; each word
-    /// event advances all lanes at once).
-    pub word_committed_events: usize,
-}
-
-impl PackedSimRun {
-    /// Number of live lanes.
-    pub fn lanes(&self) -> usize {
-        self.lane_runs.len()
-    }
-
-    /// The extracted scalar run of lane `lane`.
-    pub fn lane(&self, lane: usize) -> &SimRun {
-        &self.lane_runs[lane]
-    }
-
-    /// Total scalar-equivalent committed events across all lanes — what 64
-    /// scalar runs would have committed; the numerator of the packed
-    /// speedup.
-    pub fn lane_committed_events(&self) -> usize {
-        self.lane_runs.iter().map(|run| run.committed_events).sum()
-    }
-}
-
-/// A packed run's captures grouped by capturing cell (chronological within
-/// a cell), with each cell's name resolved once for all lanes and the groups
-/// sorted by name. A lane's flow trace is then one pass per register over
-/// contiguous (lane mask, value) pairs into an exactly sized stream,
-/// bulk-built from sorted keys, and equal to the scalar harness's per-cell
-/// grouping of that lane's [`PackedSimulator::lane_captures`].
-struct CaptureGroups {
-    /// Each capture's lane mask and value, grouped by cell.
-    captures: Vec<(u64, PackedValue)>,
-    /// Per capturing cell: its name and its range in `captures`, sorted by
-    /// name, then cell id.
-    cells: Vec<(String, std::ops::Range<usize>)>,
-}
-
-impl CaptureGroups {
-    fn new(sim: &PackedSimulator<'_>) -> Self {
-        let mut order: Vec<&PackedCapture> = sim.captures.iter().collect();
-        // Stable: chronological order survives within each cell.
-        order.sort_by_key(|cap| cap.cell);
-        let mut cells = Vec::new();
-        let mut start = 0;
-        while start < order.len() {
-            let cell = order[start].cell;
-            let end = start
-                + order[start..]
-                    .iter()
-                    .take_while(|cap| cap.cell == cell)
-                    .count();
-            cells.push((sim.netlist.cell(cell).name.as_str().to_owned(), start..end));
-            start = end;
-        }
-        // Stable: cells sharing a name stay in id order, the order in which
-        // the scalar grouping appends their streams.
-        cells.sort_by(|a, b| a.0.cmp(&b.0));
-        let captures = order.iter().map(|cap| (cap.lanes, cap.value)).collect();
-        Self { captures, cells }
-    }
-
-    fn lane_trace(&self, lane: usize) -> FlowTrace {
-        let bit = 1u64 << lane;
-        let mut streams: Vec<(String, Vec<u64>)> = Vec::with_capacity(self.cells.len());
-        for (name, range) in &self.cells {
-            let mut values = Vec::with_capacity(range.len());
-            values.extend(
-                self.captures[range.clone()]
-                    .iter()
-                    .filter(|(lanes, _)| lanes & bit != 0)
-                    .map(|(_, value)| value_to_word(value.lane(lane))),
-            );
-            if values.is_empty() {
-                continue;
-            }
-            match streams.last_mut() {
-                Some((last, stream)) if last == name => stream.extend(values),
-                _ => streams.push((name.clone(), values)),
-            }
-        }
-        streams.into_iter().collect()
-    }
-}
-
-fn collect_packed_run(sim: &PackedSimulator<'_>, cycles: usize) -> PackedSimRun {
-    let groups = CaptureGroups::new(sim);
-    PackedSimRun {
-        lane_runs: (0..sim.lanes())
-            .map(|lane| sim.lane_run_grouped(lane, cycles, &groups))
-            .collect(),
-        word_committed_events: sim.committed_words(),
     }
 }
 
@@ -898,7 +942,8 @@ impl<'a> PackedSyncTestbench<'a> {
     }
 
     /// Runs `cycles` clock cycles with period `period_ps`, applying one
-    /// packed vector from `source` per cycle.
+    /// packed vector from `source` per cycle. The recorded captures,
+    /// counters and waveforms move into the returned run.
     ///
     /// # Panics
     ///
@@ -943,7 +988,7 @@ impl<'a> PackedSyncTestbench<'a> {
         let end = start + (cycles as f64 + 1.0) * period_ps;
         sim.run_until(end);
 
-        collect_packed_run(sim, cycles)
+        sim.take_run(cycles)
     }
 }
 
@@ -987,7 +1032,8 @@ impl<'a> PackedAsyncTestbench<'a> {
     }
 
     /// Runs the netlist under the given enable `schedule` (broadcast) and
-    /// timed packed data `inputs` until `duration_ps`.
+    /// timed packed data `inputs` until `duration_ps`. The recorded
+    /// captures, counters and waveforms move into the returned run.
     ///
     /// The drive script matches the scalar [`crate::AsyncTestbench::run`]
     /// exactly: `inputs` must be listed in the same order the scalar harness
@@ -1017,7 +1063,7 @@ impl<'a> PackedAsyncTestbench<'a> {
         }
         sim.run_until(duration_ps);
 
-        collect_packed_run(sim, iterations)
+        sim.take_run(iterations)
     }
 }
 
@@ -1212,7 +1258,7 @@ mod tests {
             let mut tb = SyncTestbench::new(&n, &library, SimConfig::default()).unwrap();
             tb.watch_named(&["clk", "q1"]);
             let scalar_run = tb.run(12, 4_000.0, source);
-            assert_eq!(packed_run.lane(lane), &scalar_run, "lane {lane}");
+            assert_eq!(packed_run.lane(lane), scalar_run, "lane {lane}");
         }
     }
 
