@@ -14,10 +14,10 @@
 
 use desync_circuits::random::RandomCircuitConfig;
 use desync_core::{DesyncOptions, Desynchronizer, Protocol};
-use desync_netlist::{CellLibrary, NetId, Netlist};
+use desync_netlist::{CellLibrary, NetId, Netlist, Value};
 use desync_sim::{
     AsyncTestbench, PackedAsyncTestbench, PackedSyncTestbench, PackedVectorSource, SimConfig,
-    SyncTestbench, VectorSource, MAX_LANES,
+    SimRun, SyncTestbench, VectorSource, MAX_LANES,
 };
 use proptest::prelude::*;
 
@@ -49,39 +49,61 @@ fn lane_seeds(base: u64, lanes: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Runs one packed synchronous testbench against `seeds.len()` scalar
-/// runs and asserts every extracted lane equals its scalar sibling.
+/// One pseudo-random lane source per seed over the netlist's data inputs.
+fn pseudo_random_lanes(netlist: &Netlist, seeds: &[u64]) -> Vec<VectorSource> {
+    let nets = data_inputs(netlist);
+    seeds
+        .iter()
+        .map(|&seed| VectorSource::pseudo_random(nets.clone(), seed))
+        .collect()
+}
+
+/// Runs one packed synchronous testbench against one scalar run per lane
+/// source, asserts every extracted lane equals its scalar sibling, and
+/// returns the scalar runs.
 fn assert_sync_lanes_golden(
     netlist: &Netlist,
     library: &CellLibrary,
     config: SimConfig,
     cycles: usize,
     period_ps: f64,
-    seeds: &[u64],
+    lanes: &[VectorSource],
     watch: &[&str],
-) {
-    let nets = data_inputs(netlist);
-    let packed_source = PackedVectorSource::pseudo_random(nets.clone(), seeds);
+) -> Vec<SimRun> {
+    let packed_source = PackedVectorSource::interleave(lanes.to_vec());
     let mut packed_tb =
-        PackedSyncTestbench::new(netlist, library, config, seeds.len()).expect("single clock");
+        PackedSyncTestbench::new(netlist, library, config, lanes.len()).expect("single clock");
     packed_tb.watch_named(watch);
     let packed_run = packed_tb.run(cycles, period_ps, &packed_source);
-    assert_eq!(packed_run.lanes(), seeds.len());
+    assert_eq!(packed_run.lanes(), lanes.len());
     // A packed commit is one word event regardless of lane count: the word
     // total can never exceed the scalar-equivalent lane total.
     assert!(packed_run.word_committed_events <= packed_run.lane_committed_events());
 
-    for (lane, &seed) in seeds.iter().enumerate() {
-        let source = VectorSource::pseudo_random(nets.clone(), seed);
-        let mut scalar_tb = SyncTestbench::new(netlist, library, config).expect("single clock");
-        scalar_tb.watch_named(watch);
-        let scalar_run = scalar_tb.run(cycles, period_ps, &source);
-        assert_eq!(
-            packed_run.lane(lane),
-            scalar_run,
-            "sync lane {lane} (seed {seed:#x}) must be bit-identical to the scalar kernel"
-        );
-    }
+    let scalar_runs: Vec<SimRun> = lanes
+        .iter()
+        .enumerate()
+        .map(|(lane, source)| {
+            let mut scalar_tb = SyncTestbench::new(netlist, library, config).expect("single clock");
+            scalar_tb.watch_named(watch);
+            let scalar_run = scalar_tb.run(cycles, period_ps, source);
+            assert_eq!(
+                packed_run.lane(lane),
+                scalar_run,
+                "sync lane {lane} ({source:?}) must be bit-identical to the scalar kernel"
+            );
+            scalar_run
+        })
+        .collect();
+    // The lane total is the scalar runs' committed events, summed.
+    assert_eq!(
+        packed_run.lane_committed_events(),
+        scalar_runs
+            .iter()
+            .map(|run| run.committed_events)
+            .sum::<usize>()
+    );
+    scalar_runs
 }
 
 proptest! {
@@ -101,9 +123,9 @@ proptest! {
         let netlist = random_netlist(seed, flip_flops, gates);
         let library = CellLibrary::generic_90nm();
         let config = SimConfig::default();
-        let seeds = lane_seeds(seed ^ 0x5a5a, lanes);
+        let lanes = pseudo_random_lanes(&netlist, &lane_seeds(seed ^ 0x5a5a, lanes));
         let watch = ["in0", "ff0_q", "g0_y"];
-        assert_sync_lanes_golden(&netlist, &library, config, cycles, 4_000.0, &seeds, &watch);
+        assert_sync_lanes_golden(&netlist, &library, config, cycles, 4_000.0, &lanes, &watch);
     }
 
     /// Desynchronized testbench: for every protocol, every extracted lane
@@ -204,7 +226,64 @@ fn packed_sync_full_64_lane_word_is_golden() {
     let netlist = random_netlist(42, 6, 24);
     let library = CellLibrary::generic_90nm();
     let config = SimConfig::default();
-    let seeds = lane_seeds(0xfeed, MAX_LANES);
+    let lanes = pseudo_random_lanes(&netlist, &lane_seeds(0xfeed, MAX_LANES));
     let watch = ["in0", "ff0_q", "g0_y"];
-    assert_sync_lanes_golden(&netlist, &library, config, 10, 4_000.0, &seeds, &watch);
+    assert_sync_lanes_golden(&netlist, &library, config, 10, 4_000.0, &lanes, &watch);
+}
+
+/// A long run whose lanes fall back to `X` and leave it again at staggered
+/// cycles: lane *l* repeats an (*l* + 2)-cycle sequence that opens with
+/// every data input at `X`. The clock toggles twice per cycle, so its
+/// per-lane count passes 2^8 (the packed kernel's bit-sliced counters
+/// spill), and the exits from `X` differ from lane to lane and pass 2^8 as
+/// well. Activity and committed events must still match the scalar runs
+/// exactly.
+#[test]
+fn packed_long_run_with_staggered_x_exits_is_golden() {
+    let netlist = random_netlist(7, 6, 24);
+    let library = CellLibrary::generic_90nm();
+    let nets = data_inputs(&netlist);
+    let cycles = 300;
+    let lanes: Vec<VectorSource> = (0..13)
+        .map(|lane| {
+            let random = VectorSource::pseudo_random(nets.clone(), lane as u64 + 1);
+            let unknown: Vec<(NetId, Value)> = nets.iter().map(|&net| (net, Value::X)).collect();
+            VectorSource::sequence(
+                (0..lane + 2)
+                    .map(|cycle| {
+                        if cycle == 0 {
+                            unknown.clone()
+                        } else {
+                            random.vector_for(cycle)
+                        }
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    let watch = ["in0", "ff0_q", "g0_y"];
+    let runs = assert_sync_lanes_golden(
+        &netlist,
+        &library,
+        SimConfig::default(),
+        cycles,
+        4_000.0,
+        &lanes,
+        &watch,
+    );
+
+    let clk = netlist.find_net("clk").expect("clock net");
+    for run in &runs {
+        assert!(run.activity.transitions_on(clk) > 256);
+    }
+    // Every committed event is a toggle or an exit from X.
+    let x_exits: Vec<usize> = runs
+        .iter()
+        .map(|run| run.committed_events - run.activity.total_transitions() as usize)
+        .collect();
+    assert!(x_exits.iter().any(|&exits| exits > 256), "{x_exits:?}");
+    assert!(
+        x_exits.windows(2).any(|pair| pair[0] != pair[1]),
+        "{x_exits:?}"
+    );
 }

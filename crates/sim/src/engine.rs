@@ -25,7 +25,7 @@
 //!   [`CompiledModel`] built once by [`CompiledModel::compile`]. An
 //!   `EventSimulator` is a cursor over an `Arc` of that model
 //!   ([`EventSimulator::with_model`]): it owns only the per-run mutable
-//!   state (net values, the calendar queue, activity, captures, the watch
+//!   state (net values, the event queue, activity, captures, the watch
 //!   list), so a verification sweep re-binds schedules and stimuli onto one
 //!   compiled model instead of recompiling topology per point.
 //! * **Integer time keys.** Events are ordered by a `u64` key — the IEEE-754
@@ -36,13 +36,17 @@
 //!   bit-identical to an f64 kernel, with none of the `partial_cmp`
 //!   NaN-in-the-heap hazards. Non-finite times are rejected at the
 //!   [`EventSimulator::schedule`] boundary.
-//! * **Calendar queue.** The pending-event set is a bucketed calendar queue:
-//!   a window of fixed-width time buckets (each a small binary heap on
-//!   `(key, seq)`) plus a heap *overflow tier* for events beyond the window
-//!   horizon (e.g. an [`EnableSchedule`](crate::EnableSchedule) scheduled
-//!   hundreds of cycles up front). Pops scan forward from a cursor;
-//!   when the window drains, it is re-based onto the overflow minimum and
-//!   in-horizon events migrate back into buckets.
+//! * **Radix-heap event queue.** Simulation time never decreases, so the
+//!   pending-event set is a monotone radix heap: 65 buckets indexed by the
+//!   highest bit in which an event's key differs from the last popped key.
+//!   A push is one append; a pop takes bucket 0 (the events at the current
+//!   key) in FIFO order, and only when it is empty redistributes the lowest
+//!   occupied bucket into the buckets below it. Equal keys always share a
+//!   bucket and every bucket stays in push order, so events pop in exact
+//!   `(key, seq)` order, near and far-future events alike (e.g. an
+//!   [`EnableSchedule`](crate::EnableSchedule) scheduled hundreds of cycles
+//!   up front). A bounded pop that finds its minimum beyond the window
+//!   leaves the floor untouched, so a testbench may still schedule below it.
 //! * **CSR topology.** The net → reader-cells map and the per-cell input
 //!   pin lists are flat compressed-sparse-row arrays (offset + index), so
 //!   reacting to a committed event walks a contiguous slice instead of
@@ -59,8 +63,6 @@ use crate::waveform::{Waveform, WaveformSet};
 use desync_netlist::value::{evaluate, evaluate_c_element, evaluate_latch};
 use desync_netlist::{CellId, CellKind, CellLibrary, NetId, Netlist, Value};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Simulator configuration.
@@ -110,8 +112,9 @@ pub struct Capture {
     pub value: Value,
 }
 
-/// An event ordered by `(key, seq)` — both plain integers, so the order is
-/// total. `key` is the bit pattern of the non-negative f64 event time.
+/// A pending event. The queue pops events in `(key, seq)` order — both
+/// plain integers, so the order is total. `key` is the bit pattern of the
+/// non-negative f64 event time; `seq` numbers the pushes.
 ///
 /// Generic over the payload `P`: the scalar kernel carries one [`Value`],
 /// the packed kernel ([`crate::PackedSimulator`]) a
@@ -126,147 +129,147 @@ pub(crate) struct Event<P> {
     pub(crate) value: P,
 }
 
-impl<P> PartialEq for Event<P> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.key, self.seq) == (other.key, other.seq)
-    }
-}
-
-impl<P> Eq for Event<P> {}
-
-impl<P> Ord for Event<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.key, self.seq).cmp(&(other.key, other.seq))
-    }
-}
-
-impl<P> PartialOrd for Event<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 impl<P> Event<P> {
     pub(crate) fn time_ps(&self) -> f64 {
         f64::from_bits(self.key)
     }
 }
 
-/// Number of buckets in the calendar window.
-const CALENDAR_BUCKETS: usize = 256;
-/// Width of one calendar bucket in picoseconds. Gate delays in the generic
-/// library are tens of ps and clock periods a few thousand, so the window
-/// spans several clock periods while keeping buckets nearly singleton.
-const CALENDAR_BUCKET_WIDTH_PS: f64 = 64.0;
+/// Number of radix buckets: one per possible length of the binary prefix a
+/// queued key shares with the floor, from "equal" (bucket 0) to "differs in
+/// bit 63" (bucket 64).
+const RADIX_BUCKETS: usize = u64::BITS as usize + 1;
 
-/// A bucketed calendar queue with a heap overflow tier.
+/// A monotone radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, *Faster
+/// algorithms for the shortest path problem*, JACM 1990) on the `u64` time
+/// key, popping events in exact `(key, seq)` order.
 ///
 /// Invariants:
-/// * every queued event time is ≥ the time of the last popped event (the
-///   simulator never schedules into the past),
-/// * bucket `i` holds exactly the events with time in
-///   `[base + i·width, base + (i+1)·width)`; the overflow heap holds the
-///   events at or beyond `base + BUCKETS·width`,
-/// * `cursor` is ≤ the bucket index of the earliest queued event, so a pop
-///   scans forward only.
+/// * `last` (the floor) is the key of the last popped event, and every
+///   queued key is ≥ it — the simulator never schedules into the past;
+/// * an event with key `k` sits in bucket `64 - lzcnt(k ^ last)`, so
+///   bucket 0 holds exactly the events at the floor and bucket `b ≥ 1` the
+///   keys in `[last, 2^64)` whose highest bit differing from `last` is bit
+///   `b - 1` — every key in a lower bucket precedes every key in a higher
+///   one, and equal keys always share a bucket;
+/// * every bucket is in `seq` order: pushes carry the largest `seq` so far
+///   and append, and a redistribution moves one bucket's events, in order,
+///   into buckets that are all empty;
+/// * bit `b` of `occupied` is set exactly when bucket `b` holds an unpopped
+///   event (bucket 0 drains FIFO from `head`).
 #[derive(Debug, Clone)]
-pub(crate) struct CalendarQueue<P> {
-    buckets: Vec<BinaryHeap<Reverse<Event<P>>>>,
-    overflow: BinaryHeap<Reverse<Event<P>>>,
-    /// Start of the bucket window, picoseconds.
-    base_ps: f64,
-    cursor: usize,
-    len: usize,
+pub(crate) struct RadixQueue<P> {
+    buckets: [Vec<Event<P>>; RADIX_BUCKETS],
+    /// Next event of bucket 0 to pop.
+    head: usize,
+    occupied: u128,
+    last: u64,
 }
 
-impl<P: Copy> CalendarQueue<P> {
+impl<P: Copy> RadixQueue<P> {
     pub(crate) fn new() -> Self {
         Self {
-            buckets: (0..CALENDAR_BUCKETS).map(|_| BinaryHeap::new()).collect(),
-            overflow: BinaryHeap::new(),
-            base_ps: 0.0,
-            cursor: 0,
-            len: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            head: 0,
+            occupied: 0,
+            last: 0,
         }
     }
 
-    fn span_ps(&self) -> f64 {
-        CALENDAR_BUCKET_WIDTH_PS * self.buckets.len() as f64
-    }
-
-    /// The bucket index of `time_ps`, or `None` when it lies beyond the
-    /// window horizon (→ overflow tier).
-    fn bucket_of(&self, time_ps: f64) -> Option<usize> {
-        let offset = ((time_ps - self.base_ps) / CALENDAR_BUCKET_WIDTH_PS).max(0.0) as usize;
-        (offset < self.buckets.len()).then_some(offset)
+    fn bucket_of(&self, key: u64) -> usize {
+        (u64::BITS - (key ^ self.last).leading_zeros()) as usize
     }
 
     pub(crate) fn push(&mut self, event: Event<P>) {
-        self.len += 1;
-        match self.bucket_of(event.time_ps()) {
-            Some(index) => {
-                // Defensive: a push at the current time lands in the cursor
-                // bucket; never ahead of it, but keep the cursor honest.
-                self.cursor = self.cursor.min(index);
-                self.buckets[index].push(Reverse(event));
-            }
-            None => self.overflow.push(Reverse(event)),
-        }
+        debug_assert!(
+            event.key >= self.last,
+            "event key {:#x} lies below the queue floor {:#x}",
+            event.key,
+            self.last
+        );
+        let index = self.bucket_of(event.key);
+        let bucket = &mut self.buckets[index];
+        debug_assert!(
+            bucket.last().is_none_or(|prev| prev.seq < event.seq),
+            "event sequence numbers must increase with every push"
+        );
+        bucket.push(event);
+        self.occupied |= 1 << index;
     }
 
-    /// The earliest queued event, advancing the cursor over drained buckets.
-    ///
-    /// Any bucketed event precedes every overflow event (the overflow tier
-    /// only holds events beyond the window horizon), so the first non-empty
-    /// bucket holds the minimum; with the window empty the overflow minimum
-    /// is global.
-    pub(crate) fn peek(&mut self) -> Option<Event<P>> {
-        while self.cursor < self.buckets.len() {
-            if let Some(&Reverse(event)) = self.buckets[self.cursor].peek() {
-                return Some(event);
-            }
-            self.cursor += 1;
-        }
-        self.overflow.peek().map(|&Reverse(event)| event)
-    }
-
-    /// Removes and returns the earliest event. When the window has drained
-    /// and the minimum comes from the overflow tier, the window is re-based
-    /// onto it and every overflow event inside the new horizon migrates
-    /// into its bucket.
+    /// Removes and returns the earliest event, `None` when the queue is
+    /// empty.
     pub(crate) fn pop(&mut self) -> Option<Event<P>> {
-        while self.cursor < self.buckets.len() {
-            if let Some(Reverse(event)) = self.buckets[self.cursor].pop() {
-                self.len -= 1;
-                return Some(event);
+        self.pop_until(u64::MAX)
+    }
+
+    /// Removes and returns the earliest event if its key is at most
+    /// `limit`, `None` otherwise.
+    ///
+    /// A rejected pop leaves the floor where it was: callers may still push
+    /// keys below the rejected minimum (a testbench schedules its next
+    /// clock edge between two windows), and those keys must stay ≥ the
+    /// floor.
+    pub(crate) fn pop_until(&mut self, limit: u64) -> Option<Event<P>> {
+        if self.occupied & 1 == 0 {
+            if self.occupied == 0 {
+                return None;
             }
-            self.cursor += 1;
+            // Bucket 0 is empty: the lowest occupied bucket holds the
+            // minimum. Make it the floor and redistribute the bucket — all
+            // its keys now share a longer prefix with the floor, so each
+            // moves to a lower (empty) bucket, the minimum to bucket 0.
+            let index = self.occupied.trailing_zeros() as usize;
+            let min = self.buckets[index]
+                .iter()
+                .map(|event| event.key)
+                .min()
+                .expect("an occupied bucket holds an event");
+            if min > limit {
+                return None;
+            }
+            self.last = min;
+            self.occupied &= !(1 << index);
+            let mut moved = std::mem::take(&mut self.buckets[index]);
+            for event in moved.drain(..) {
+                let target = self.bucket_of(event.key);
+                self.buckets[target].push(event);
+                self.occupied |= 1 << target;
+            }
+            // Hand the emptied vector back so the bucket keeps its capacity.
+            self.buckets[index] = moved;
+        } else if self.last > limit {
+            return None;
         }
-        let Reverse(event) = self.overflow.pop()?;
-        self.len -= 1;
-        // Re-base the (empty) window onto the popped event. The popped event
-        // becomes the new current time, so no later push can precede the new
-        // base.
-        let time = event.time_ps();
-        self.base_ps = (time / CALENDAR_BUCKET_WIDTH_PS).floor() * CALENDAR_BUCKET_WIDTH_PS;
-        self.cursor = 0;
-        let horizon = self.base_ps + self.span_ps();
-        while let Some(&Reverse(next)) = self.overflow.peek() {
-            if next.time_ps() >= horizon {
-                break;
-            }
-            let Reverse(next) = self.overflow.pop().expect("peeked overflow event exists");
-            let index = self
-                .bucket_of(next.time_ps())
-                .expect("event inside the horizon has a bucket");
-            self.buckets[index].push(Reverse(next));
+        let bucket = &mut self.buckets[0];
+        let event = bucket[self.head];
+        self.head += 1;
+        if self.head == bucket.len() {
+            bucket.clear();
+            self.head = 0;
+            self.occupied &= !1;
         }
         Some(event)
     }
 
     #[cfg(test)]
     fn is_empty(&self) -> bool {
-        self.len == 0
+        self.occupied == 0
+    }
+}
+
+/// The largest event key a `run_until(until_ps)` window commits. An event
+/// is due unless `time_ps > until_ps`, for every f64 limit: `None` means no
+/// event is due (a negative limit), and a NaN limit rejects nothing, as
+/// `time_ps > NaN` never holds.
+pub(crate) fn window_limit(until_ps: f64) -> Option<u64> {
+    if until_ps.is_nan() {
+        Some(u64::MAX)
+    } else if until_ps < 0.0 {
+        None
+    } else {
+        // `+ 0.0` maps -0.0 to +0.0, whose key is 0.
+        Some((until_ps + 0.0).to_bits())
     }
 }
 
@@ -285,7 +288,7 @@ pub struct EventSimulator<'a> {
     /// a pending event is always followed by a corrective event when the
     /// inputs change back before it commits.
     projected: Vec<Value>,
-    queue: CalendarQueue<Value>,
+    queue: RadixQueue<Value>,
     seq: u64,
     time: f64,
     committed: usize,
@@ -340,7 +343,7 @@ impl<'a> EventSimulator<'a> {
             model,
             values: vec![Value::X; num_nets],
             projected: vec![Value::X; num_nets],
-            queue: CalendarQueue::new(),
+            queue: RadixQueue::new(),
             seq: 0,
             time: 0.0,
             committed: 0,
@@ -486,13 +489,11 @@ impl<'a> EventSimulator<'a> {
     /// Returns the number of committed events.
     pub fn run_until(&mut self, until_ps: f64) -> usize {
         let mut committed = 0usize;
-        while let Some(next) = self.queue.peek() {
-            if next.time_ps() > until_ps {
-                break;
+        if let Some(limit) = window_limit(until_ps) {
+            while let Some(event) = self.queue.pop_until(limit) {
+                self.time = event.time_ps();
+                committed += self.commit(event);
             }
-            let event = self.queue.pop().expect("peeked event exists");
-            self.time = event.time_ps();
-            committed += self.commit(event);
         }
         self.time = self.time.max(until_ps);
         self.activity.duration_ps = self.time;
@@ -631,6 +632,7 @@ impl<'a> EventSimulator<'a> {
 mod tests {
     use super::*;
     use desync_netlist::CellLibrary;
+    use proptest::prelude::*;
 
     fn lib() -> CellLibrary {
         CellLibrary::generic_90nm()
@@ -856,16 +858,16 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_pass_through_the_overflow_tier() {
-        // Events far beyond the calendar window land in the overflow heap
-        // and migrate back into buckets as the window re-bases.
+    fn far_future_events_keep_their_order() {
+        // Events scheduled out of order, some far beyond a clock period
+        // (multiples of 16 384 ps), commit in time order.
         let mut n = Netlist::new("t");
         let a = n.add_input("a");
         let y = n.add_output("y");
         n.add_gate("g", CellKind::Buf, &[a], y).unwrap();
         let l = lib();
         let mut sim = EventSimulator::new(&n, &l, SimConfig::default());
-        let span = CALENDAR_BUCKET_WIDTH_PS * CALENDAR_BUCKETS as f64;
+        let span = 16_384.0;
         // A mix of near, far and very far events, scheduled out of order.
         sim.schedule(a, Value::One, 40.0 * span);
         sim.schedule(a, Value::Zero, 2.5 * span);
@@ -930,32 +932,132 @@ mod tests {
         let _ = EventSimulator::with_model(&b, model);
     }
 
-    #[test]
-    fn calendar_queue_orders_same_bucket_and_rebases() {
-        let mut q = CalendarQueue::<Value>::new();
-        assert!(q.is_empty());
-        let ev = |t: f64, seq: u64| Event {
-            key: t.to_bits(),
+    fn ev(key: u64, seq: u64) -> Event<Value> {
+        Event {
+            key,
             seq,
             net: NetId(0),
             value: Value::One,
-        };
-        // Same bucket, inserted out of order; equal times tie-break by seq.
-        q.push(ev(30.0, 3));
-        q.push(ev(10.0, 1));
-        q.push(ev(10.0, 2));
-        // Far beyond the window: overflow tier.
+        }
+    }
+
+    #[test]
+    fn radix_queue_orders_equal_keys_by_seq_and_reaches_far_keys() {
+        let mut q = RadixQueue::<Value>::new();
+        assert!(q.is_empty());
+        let t = |ps: f64| ps.to_bits();
+        // Times inserted out of order (sequence numbers increase with
+        // every push, as the simulator numbers them); equal times
+        // tie-break by seq.
+        q.push(ev(t(30.0), 1));
+        q.push(ev(t(10.0), 2));
+        q.push(ev(t(10.0), 3));
         let far = 1e9;
-        q.push(ev(far, 4));
-        assert_eq!(q.pop().unwrap().seq, 1);
+        q.push(ev(t(far), 4));
         assert_eq!(q.pop().unwrap().seq, 2);
-        assert_eq!(q.peek().unwrap().seq, 3);
         assert_eq!(q.pop().unwrap().seq, 3);
-        // The far event is reachable (window re-bases onto it).
+        // A bounded pop below the next key rejects and leaves the floor at
+        // 10 ps, so an event between the floor and the rejected minimum can
+        // still be pushed (a testbench's next clock edge) and pops first.
+        assert!(q.pop_until(t(15.0)).is_none());
+        q.push(ev(t(12.0), 5));
+        assert_eq!(q.pop_until(t(29.0)).unwrap().seq, 5);
+        assert!(q.pop_until(t(29.0)).is_none());
+        assert_eq!(q.pop_until(t(30.0)).unwrap().seq, 1);
         let popped = q.pop().unwrap();
         assert_eq!(popped.seq, 4);
         assert_eq!(popped.time_ps(), far);
         assert!(q.pop().is_none());
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn window_limit_matches_the_f64_comparison() {
+        assert_eq!(window_limit(-1.0), None);
+        assert_eq!(window_limit(-0.0), Some(0));
+        assert_eq!(window_limit(f64::NAN), Some(u64::MAX));
+        assert_eq!(window_limit(12.5), Some(12.5f64.to_bits()));
+        assert!(window_limit(f64::INFINITY).unwrap() > f64::MAX.to_bits());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+        /// Random monotone push / pop / bounded-pop scripts pop exactly
+        /// what a binary heap on `(key, seq)` pops.
+        #[test]
+        fn radix_queue_matches_a_binary_heap(seed in 0u64..u64::MAX, steps in 1usize..400) {
+            use std::cmp::Reverse;
+            use std::collections::BinaryHeap;
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut queue = RadixQueue::<Value>::new();
+            let mut reference = BinaryHeap::new();
+            // Key of the last popped event: no push may go below it.
+            let mut floor = 0u64;
+            let mut seq = 0u64;
+            let mut last_key = 0u64;
+            let mut push = |queue: &mut RadixQueue<Value>,
+                            reference: &mut BinaryHeap<Reverse<(u64, u64)>>,
+                            key: u64| {
+                seq += 1;
+                queue.push(ev(key, seq));
+                reference.push(Reverse((key, seq)));
+            };
+            for _ in 0..steps {
+                let roll = next();
+                match roll % 10 {
+                    0..=4 => {
+                        let key = match (roll >> 8) % 6 {
+                            0 => floor,
+                            1 => floor.saturating_add(next() % 16),
+                            2 => floor.saturating_add(next() % 4096),
+                            3 => floor.saturating_add(next() >> (next() % 64)),
+                            4 => last_key.max(floor),
+                            _ => u64::MAX,
+                        };
+                        last_key = key;
+                        push(&mut queue, &mut reference, key);
+                    }
+                    5..=7 => {
+                        let popped = queue.pop().map(|e| (e.key, e.seq));
+                        let expected = reference.pop().map(|Reverse(entry)| entry);
+                        prop_assert_eq!(popped, expected);
+                        if let Some((key, _)) = popped {
+                            floor = key;
+                        }
+                    }
+                    _ => {
+                        let limit = floor.saturating_add(next() >> (next() % 64));
+                        let due = reference.peek().is_some_and(|Reverse((key, _))| *key <= limit);
+                        let popped = queue.pop_until(limit).map(|e| (e.key, e.seq));
+                        let expected = if due {
+                            reference.pop().map(|Reverse(entry)| entry)
+                        } else {
+                            None
+                        };
+                        prop_assert_eq!(popped, expected);
+                        match (popped, reference.peek()) {
+                            (Some((key, _)), _) => floor = key,
+                            // Rejected: push below the rejected minimum.
+                            (None, Some(&Reverse((min, _)))) if min > floor => {
+                                let key = floor + next() % (min - floor);
+                                push(&mut queue, &mut reference, key);
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+            }
+            while let Some(Reverse(expected)) = reference.pop() {
+                prop_assert_eq!(queue.pop().map(|e| (e.key, e.seq)), Some(expected));
+            }
+            prop_assert!(queue.is_empty());
+        }
     }
 }

@@ -30,7 +30,7 @@
 //!   evaluated with branch-free word-wide logic — NOT swaps and complements
 //!   the planes, AND/OR are per-plane `&`/`|`, and the rest compose from
 //!   plane masks. Under matched delays the event *schedule* is
-//!   stimulus-independent, so the calendar queue, the CSR topology walk and
+//!   stimulus-independent, so the event queue, the CSR topology walk and
 //!   the scheduling rules are byte-for-byte the scalar kernel's — only the
 //!   payloads widen. A [`PackedSimRun`] keeps its captures packed, grouped
 //!   per cell; [`PackedSimRun::lane`] builds any lane's captures, activity
@@ -73,8 +73,10 @@
 //!   numeric value, so the order is total and results stay bit-identical to
 //!   an f64 kernel); non-finite times are rejected at the
 //!   [`EventSimulator::schedule`] boundary.
-//! * The pending-event set is a **bucketed calendar queue** with a binary
-//!   heap overflow tier for far-future events (up-front enable schedules).
+//! * The pending-event set is a **monotone radix heap** on the time key:
+//!   simulation time never decreases, so a push is an append and a pop
+//!   redistributes at most one bucket, in exact `(time, sequence)` order
+//!   for near and far-future events (up-front enable schedules) alike.
 //! * Input values are gathered into one reused scratch buffer, and
 //!   flip-flops are not registered as readers of their data nets (they
 //!   only react to clock edges).

@@ -13,7 +13,7 @@
 //! function of `(netlist, library, SimConfig)`, immutable after
 //! [`CompiledModel::compile`], and cheap to share behind an `Arc`. An
 //! [`EventSimulator`](crate::EventSimulator) is then a *cursor* over the
-//! model — per-run mutable state only (net values, the calendar queue,
+//! model — per-run mutable state only (net values, the event queue,
 //! activity counters, captures, watch list) — so sweep points re-bind their
 //! schedules and inputs onto one compiled model instead of recompiling it.
 //! `desync-core` caches compiled models in its artifact store keyed by the

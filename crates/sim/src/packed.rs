@@ -5,7 +5,7 @@
 //! payloads differ between two runs of the same netlist. The packed kernel
 //! exploits this: each net carries a [`PackedValue`] of 64 independent
 //! 4-state lanes encoded as two `u64` bit-planes, every [`CellKind`] is
-//! evaluated with branch-free word-wide logic, and one pass over the calendar
+//! evaluated with branch-free word-wide logic, and one pass over the event
 //! queue advances all 64 stimulus vectors at once.
 //!
 //! # Two-bit-plane encoding
@@ -31,7 +31,7 @@
 //! # Bit-identity contract
 //!
 //! [`PackedSimulator`] reuses the scalar kernel's machinery unchanged — the
-//! same [`CompiledModel`], the same calendar queue and integer time keys,
+//! same [`CompiledModel`], the same event queue and integer time keys,
 //! the same commit/CSR-walk skeleton — only the event payloads widen from
 //! [`Value`] to [`PackedValue`]. A packed event is scheduled when *any* lane
 //! departs from its projected value; on lanes where the payload equals the
@@ -48,7 +48,7 @@
 //! and all per-lane accounting is masked to the live lanes.
 
 use crate::activity::Activity;
-use crate::engine::{CalendarQueue, Event, SimConfig};
+use crate::engine::{window_limit, Event, RadixQueue, SimConfig};
 use crate::harness::{value_to_word, EnableSchedule, SimRun};
 use crate::model::CompiledModel;
 use crate::stimulus::PackedVectorSource;
@@ -269,6 +269,106 @@ fn live_lane_mask(lanes: usize) -> u64 {
     }
 }
 
+/// Number of bit planes per counter slot: eight `u64` planes, one cache
+/// line, count 0..256 per lane before a carry spills.
+const COUNTER_PLANES: usize = 8;
+
+/// One counter slot of 64 lane counts: plane `k` holds bit `k` of every
+/// lane's count, lane *l* in bit *l*.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(align(64))]
+struct CounterPlanes([u64; COUNTER_PLANES]);
+
+impl CounterPlanes {
+    /// Lane `lane`'s count modulo 2^8.
+    fn lane(&self, lane: usize) -> u64 {
+        self.0
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (k, plane)| acc | (plane >> lane & 1) << k)
+    }
+}
+
+/// Per-lane event counters of a packed run, bit-sliced: 64 lane counts per
+/// slot, one slot per net (switching activity) plus one counting the
+/// transitions out of `X`.
+///
+/// Adding a lane mask to a slot is a branch-free ripple-carry add over its
+/// eight planes. A carry out of the top plane (a lane's count of that slot
+/// passing a multiple of 256) is appended to `spill`, which stays
+/// unallocated in short runs. A lane's committed events are its toggles
+/// plus its exits from `X`, decoded on demand; their sum over all lanes is
+/// kept directly (`total`, one `count_ones` per commit).
+#[derive(Debug, Clone, PartialEq)]
+struct LaneCounters {
+    slots: Vec<CounterPlanes>,
+    /// Carry-outs: each `(slot, lanes)` adds 2^8 to the slot's count in
+    /// every lane of `lanes`.
+    spill: Vec<(u32, u64)>,
+    total: u64,
+}
+
+impl LaneCounters {
+    /// Counters for `nets` nets plus the `X`-exit slot, all zero.
+    fn new(nets: usize) -> Self {
+        Self {
+            slots: vec![CounterPlanes::default(); nets + 1],
+            spill: Vec::new(),
+            total: 0,
+        }
+    }
+
+    /// Counts one committed event that changed the lanes of `changed` on
+    /// `net`, `x_exits` of them from `X` (switching activity counts the
+    /// rest).
+    #[inline]
+    fn record(&mut self, net: usize, changed: u64, x_exits: u64) {
+        debug_assert_eq!(x_exits & !changed, 0, "X exits are changed lanes");
+        self.total += u64::from(changed.count_ones());
+        self.add(net, changed & !x_exits);
+        if x_exits != 0 {
+            // The last slot counts the exits from X.
+            self.add(self.slots.len() - 1, x_exits);
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, slot: usize, lanes: u64) {
+        let mut carry = lanes;
+        for plane in &mut self.slots[slot].0 {
+            let bits = *plane;
+            *plane = bits ^ carry;
+            carry &= bits;
+        }
+        if carry != 0 {
+            self.spill.push((slot as u32, carry));
+        }
+    }
+
+    /// Lane `lane`'s count in every slot.
+    fn lane_counts(&self, lane: usize) -> Vec<u64> {
+        let mut counts: Vec<u64> = self.slots.iter().map(|slot| slot.lane(lane)).collect();
+        for &(slot, lanes) in &self.spill {
+            if lanes >> lane & 1 != 0 {
+                counts[slot as usize] += 1 << COUNTER_PLANES;
+            }
+        }
+        counts
+    }
+
+    /// Lane `lane`'s switching activity, one count per net.
+    fn transitions(&self, lane: usize) -> Vec<u64> {
+        let mut counts = self.lane_counts(lane);
+        counts.pop();
+        counts
+    }
+
+    /// Lane `lane`'s committed events: its toggles plus its exits from `X`.
+    fn committed(&self, lane: usize) -> u64 {
+        self.lane_counts(lane).iter().sum()
+    }
+}
+
 /// One packed register capture: the packed data value latched by a
 /// sequential cell, together with the mask of lanes that actually saw a
 /// capturing edge at this instant.
@@ -304,16 +404,13 @@ pub struct PackedSimulator<'a> {
     /// Last *scheduled* packed value per net (see the scalar kernel's
     /// `projected` field for the rationale).
     projected: Vec<PackedValue>,
-    queue: CalendarQueue<PackedValue>,
+    queue: RadixQueue<PackedValue>,
     seq: u64,
     time: f64,
     duration_ps: f64,
     committed_words: usize,
-    /// Per-lane committed-event counters (events visible to that lane).
-    lane_committed: Vec<u64>,
-    /// Lane-major per-net switching counters:
-    /// `lane_transitions[lane * num_nets + net]`.
-    lane_transitions: Vec<u64>,
+    /// Per-lane committed events and switching activity (live lanes only).
+    counters: LaneCounters,
     watched: Vec<u64>,
     watch_slot: Vec<u32>,
     /// Raw packed change records of watched nets; per-lane waveforms are
@@ -375,13 +472,12 @@ impl<'a> PackedSimulator<'a> {
             lane_mask,
             values: vec![PackedValue::all_x(); num_nets],
             projected: vec![PackedValue::all_x(); num_nets],
-            queue: CalendarQueue::new(),
+            queue: RadixQueue::new(),
             seq: 0,
             time: 0.0,
             duration_ps: 0.0,
             committed_words: 0,
-            lane_committed: vec![0; lanes],
-            lane_transitions: vec![0; lanes * num_nets],
+            counters: LaneCounters::new(num_nets),
             watched: vec![0u64; num_nets.div_ceil(64)],
             watch_slot: vec![u32::MAX; num_nets],
             waves: Vec::new(),
@@ -432,7 +528,7 @@ impl<'a> PackedSimulator<'a> {
     /// Number of events visible to lane `lane` — bit-identical to the
     /// committed-event count of the corresponding scalar run.
     pub fn lane_committed_events(&self, lane: usize) -> usize {
-        self.lane_committed[lane] as usize
+        self.counters.committed(lane) as usize
     }
 
     /// The current packed value of a net.
@@ -512,13 +608,11 @@ impl<'a> PackedSimulator<'a> {
     /// Returns the number of committed word events.
     pub fn run_until(&mut self, until_ps: f64) -> usize {
         let mut committed = 0usize;
-        while let Some(next) = self.queue.peek() {
-            if next.time_ps() > until_ps {
-                break;
+        if let Some(limit) = window_limit(until_ps) {
+            while let Some(event) = self.queue.pop_until(limit) {
+                self.time = event.time_ps();
+                committed += self.commit(event);
             }
-            let event = self.queue.pop().expect("peeked event exists");
-            self.time = event.time_ps();
-            committed += self.commit(event);
         }
         self.time = self.time.max(until_ps);
         self.duration_ps = self.time;
@@ -547,19 +641,9 @@ impl<'a> PackedSimulator<'a> {
         }
         self.values[net] = event.value;
         self.committed_words += 1;
-        let mut visible = changed & self.lane_mask;
-        while visible != 0 {
-            let lane = visible.trailing_zeros() as usize;
-            self.lane_committed[lane] += 1;
-            visible &= visible - 1;
-        }
         // Transitions out of X are not switching activity (scalar contract).
-        let mut toggled = changed & self.lane_mask & !old.x_mask();
-        while toggled != 0 {
-            let lane = toggled.trailing_zeros() as usize;
-            self.lane_transitions[lane * self.model.num_nets + net] += 1;
-            toggled &= toggled - 1;
-        }
+        let visible = changed & self.lane_mask;
+        self.counters.record(net, visible, visible & old.x_mask());
         if self.watched[net / 64] & (1u64 << (net % 64)) != 0 {
             let slot = self.watch_slot[net] as usize;
             self.waves[slot].1.push((self.time, event.value));
@@ -716,11 +800,7 @@ impl<'a> PackedSimulator<'a> {
             cell_names: rows.into_iter().map(|(name, _)| name).collect(),
             cell_offsets,
             captures: records,
-            lane_committed: std::mem::replace(&mut self.lane_committed, vec![0; self.lanes]),
-            lane_transitions: std::mem::replace(
-                &mut self.lane_transitions,
-                vec![0; self.lanes * self.model.num_nets],
-            ),
+            counters: std::mem::replace(&mut self.counters, LaneCounters::new(self.model.num_nets)),
             waves: self
                 .waves
                 .iter_mut()
@@ -760,10 +840,8 @@ pub struct PackedSimRun {
     cell_offsets: Vec<usize>,
     /// Capture records grouped by cell, chronological within a cell.
     captures: Vec<(u64, PackedValue)>,
-    /// Per-lane committed-event counters.
-    lane_committed: Vec<u64>,
-    /// Lane-major per-net switching counters (`lanes × nets`).
-    lane_transitions: Vec<u64>,
+    /// Per-lane committed events and switching activity.
+    counters: LaneCounters,
     /// Raw packed change records of the watched nets, in watch order.
     waves: Vec<(&'static str, Vec<(f64, PackedValue)>)>,
 }
@@ -789,7 +867,7 @@ impl PackedSimRun {
     /// scalar runs would have committed; the numerator of the packed
     /// speedup.
     pub fn lane_committed_events(&self) -> usize {
-        self.lane_committed.iter().sum::<u64>() as usize
+        self.counters.total as usize
     }
 
     /// The capturing cells in name order, each with its chronological
@@ -849,7 +927,6 @@ impl PackedSimRun {
                 (!values.is_empty()).then(|| (name.to_owned(), values))
             })
             .collect();
-        let nets = self.lane_transitions.len() / self.lanes;
         let mut waveforms = WaveformSet::new();
         // Packed change records are collapsed per lane: a record whose lane
         // value equals the previous one is a change on *other* lanes only
@@ -869,13 +946,13 @@ impl PackedSimRun {
         SimRun {
             flow_trace,
             activity: Activity {
-                transitions: self.lane_transitions[lane * nets..(lane + 1) * nets].to_vec(),
+                transitions: self.counters.transitions(lane),
                 duration_ps: self.duration_ps,
             },
             waveforms,
             cycles: self.cycles,
             duration_ps: self.duration_ps,
-            committed_events: self.lane_committed[lane] as usize,
+            committed_events: self.counters.committed(lane) as usize,
         }
     }
 }
